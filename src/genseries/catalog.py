@@ -386,16 +386,27 @@ def descriptor_from_json(carrier: Carrier, obj) -> Descriptor:
         raise InputError(f"bad descriptor {obj!r}")
     key, val = next(iter(obj.items()))
     if key == "finite":
+        if not isinstance(val, list):
+            raise InputError('descriptor {"finite": ...} must carry a list of elements')
         return finite(carrier.element_from_json(e) for e in val)
     if key == "all":
         if val is not True:
             raise InputError('descriptor {"all": ...} must carry true')
         return ALL
     if key == "gridtail":
-        return GridTail(val["a"], val["n"])
+        return GridTail(**_fields(key, val, {"a", "n"}))
     if key == "tailge":
-        return TailGE(val["a"])
+        return TailGE(**_fields(key, val, {"a"}))
     raise InputError(f"unknown descriptor kind {key!r}")
+
+
+def _fields(kind, val, names):
+    """A descriptor's parameter object, which must have exactly these keys;
+    the descriptor's constructor checks their values."""
+    if not isinstance(val, dict) or set(val) != names:
+        keys = ", ".join(f'"{name}"' for name in sorted(names))
+        raise InputError(f'descriptor {{"{kind}": ...}} must be an object with keys {keys}')
+    return val
 
 
 def descriptor_to_json(carrier: Carrier, desc: Descriptor):

@@ -215,7 +215,7 @@ def _series_payload(series: GenSeries, monoid, ring, window: int):
         "window": window,
         "terms": [[monoid.carrier.element_to_json(m) if isinstance(monoid, CatalogMonoid) else m,
                    ring.element_to_json(c)] for m, c in terms],
-        "text": series.render(window),
+        "text": series.format_terms(terms),
     }
 
 
@@ -295,7 +295,8 @@ def cmd_dirichlet(args) -> int:
         raise InputError("n-max must be at least 1")
     expr = _field(args, blob, "expr", "expr")
     series = eval_expression(expr, posnat_mul(), ring, n_max)
-    rows = [[n, ring.element_to_json(series.coeff(n))] for n in range(1, n_max + 1)]
+    values = series.window_coeffs(n_max)
+    rows = [[n, ring.element_to_json(values.get(n, ring.zero))] for n in range(1, n_max + 1)]
     if args.format == "json":
         _emit_json({"values": rows})
     else:

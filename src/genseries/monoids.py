@@ -28,7 +28,7 @@ from fractions import Fraction
 from .catalog import (ALL, All, Carrier, Descriptor, FiniteSet, FreeWords,
                       GridTail, IntDiscrete, IntUsual, NatDiscrete, NatUsual,
                       PosNatDivisibility, PosNatMulUsual, RationalGrid,
-                      TailGE, Truncated, finite)
+                      TailGE, Truncated, _check_region, finite)
 from .errors import CarrierError, DescriptorError
 
 
@@ -308,7 +308,7 @@ class CatalogMonoid(Monoid):
 
     def enumerate_desc(self, desc, region):
         self.require_admitted(desc)
-        c = self.carrier
+        _check_region(region)
         if isinstance(desc, FiniteSet):
             return sorted((x for x in desc.elements if self._in_window(x, region)),
                           key=self.sort_key)

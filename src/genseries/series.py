@@ -17,30 +17,61 @@ so renders and tests are reproducible.  Extensional equality of lazy
 series is undecidable; the honest surrogate is ``agree_on``, which
 compares coefficients over every carrier element in a finite window.
 
+There are two evaluation paths, and they agree coefficient for
+coefficient:
+
+* ``coeff(m)`` answers one query lazily through the memo, decomposing m
+  and recursing into the factors.
+* ``window_coeffs(region)`` -- and so ``terms_on`` and ``render`` --
+  evaluates a whole window bottom-up.  Every series records how it was
+  built (a finite table, a leaf function, or ``add``/``neg``/``mul`` of
+  other series), and the record is walked iteratively in post-order, so
+  chain depth costs no stack.  On ``nat`` and ``trunc`` a product is a
+  Cauchy product over lists, O(N^2); on ``posnat-mul`` it is a Dirichlet
+  sieve, O(N log N); both factors finite, on any carrier, it is a
+  convolution of the full tables, |s|*|t| monoid products.  Integer and
+  rational coefficients run these kernels on plain ints (rationals over a
+  common denominator); other rings use their own ``add`` and ``mul``.
+  Infinite supports on the other carriers (Laurent and Puiseux tails,
+  lazy words) fall back to per-element ``coeff``.
+
 Series may be shared across threads: the memo fill is idempotent, so
-concurrent queries can at worst duplicate work, never disagree.
+concurrent queries can at worst duplicate work, never disagree, and the
+window path keeps all of its state local to the call.
 """
 
 from __future__ import annotations
 
-from .catalog import ALL, finite
+import math
+import operator
+from fractions import Fraction
+from functools import reduce
+from itertools import repeat
+
+from .catalog import (ALL, FiniteSet, NatUsual, PosNatMulUsual, Truncated,
+                      finite)
 from .errors import InputError, SizeBoundError
 from .monoids import Monoid, nat, posnat_mul
-from .rings import Ring
+from .rings import IntRing, RationalRing, Ring
+
+# how a series was built: ("terms", table), ("leaf",), ("add", f, g),
+# ("neg", f) or ("mul", f, g)
+_LEAF = ("leaf",)
 
 
 class GenSeries:
     """An element of the generalized power series ring over (monoid, ring)."""
 
-    __slots__ = ("monoid", "ring", "support", "_fn", "_memo")
+    __slots__ = ("monoid", "ring", "support", "_fn", "_memo", "_build")
 
-    def __init__(self, monoid: Monoid, ring: Ring, fn, support):
+    def __init__(self, monoid: Monoid, ring: Ring, fn, support, build=_LEAF):
         monoid.require_admitted(support)
         self.monoid = monoid
         self.ring = ring
         self.support = support
         self._fn = fn
         self._memo = {}
+        self._build = build
 
     # -- observation ---------------------------------------------------------
 
@@ -75,11 +106,13 @@ class GenSeries:
             self.monoid, ring,
             lambda m: ring.add(self.coeff(m), other.coeff(m)),
             self.monoid.union_bound(self.support, other.support),
+            ("add", self, other),
         )
 
     def neg(self) -> "GenSeries":
         ring = self.ring
-        return GenSeries(self.monoid, ring, lambda m: ring.neg(self.coeff(m)), self.support)
+        return GenSeries(self.monoid, ring, lambda m: ring.neg(self.coeff(m)), self.support,
+                         ("neg", self))
 
     def sub(self, other: "GenSeries") -> "GenSeries":
         return self.add(other.neg())
@@ -95,7 +128,8 @@ class GenSeries:
                 total = ring.add(total, ring.mul(self.coeff(m1), other.coeff(m2)))
             return total
 
-        return GenSeries(monoid, ring, convolve, monoid.mul_bound(s, t))
+        return GenSeries(monoid, ring, convolve, monoid.mul_bound(s, t),
+                         ("mul", self, other))
 
     __add__ = add
     __neg__ = neg
@@ -104,18 +138,25 @@ class GenSeries:
 
     # -- rendering ---------------------------------------------------------------
 
+    def window_coeffs(self, region: int) -> dict:
+        """{m: coefficient} for every support element in the window, in
+        display order: the values of ``coeff``, evaluated bottom-up."""
+        elements = self.monoid.enumerate_desc(self.support, region)
+        lookup = _window_lookup(self, region)
+        return {m: lookup(m) for m in elements}
+
     def terms_on(self, region: int) -> list:
         """Nonzero (element, coefficient) pairs on the support window."""
-        out = []
-        for m in self.monoid.enumerate_desc(self.support, region):
-            c = self.coeff(m)
-            if not self.ring.is_zero(c):
-                out.append((m, c))
-        return out
+        is_zero = self.ring.is_zero
+        return [(m, c) for m, c in self.window_coeffs(region).items() if not is_zero(c)]
 
     def render(self, region: int) -> str:
+        return self.format_terms(self.terms_on(region))
+
+    def format_terms(self, terms) -> str:
+        """The display text of (element, coefficient) pairs from ``terms_on``."""
         parts = []
-        for m, c in self.terms_on(region):
+        for m, c in terms:
             text = self.ring.render(c)
             if text.startswith("-") or " " in text:
                 text = f"({text})"
@@ -138,6 +179,158 @@ def _check_compatible(f: GenSeries, g: GenSeries):
 
 
 # ---------------------------------------------------------------------------
+# window evaluation
+
+
+def _window_lookup(root: GenSeries, region: int):
+    """A function m -> coefficient of root, valid on root's support window.
+
+    Walks root's build record in post-order with an explicit stack.  Each
+    node becomes a table {m: value} of all its terms when its support is
+    finite, or a dense list indexed by element over the window on the
+    carriers whose windows are closed under factors.  Leaves are read only
+    at their support's members, as ``coeff`` reads them; the region has
+    been checked by the caller.
+    """
+    kernel, top = _dense_kernel(root.monoid, region)
+    if kernel is None and not _is_finite(root):
+        return root.coeff
+    values = {}  # id(node) -> table or dense list; root's record keeps every node alive
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in values:
+            stack.pop()
+            continue
+        inputs = _inputs(node)
+        pending = [f for f in inputs if id(f) not in values]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        values[id(node)] = _evaluate(node, [values[id(f)] for f in inputs], kernel, top,
+                                     region)
+    out = values[id(root)]
+    if isinstance(out, dict):
+        zero = root.ring.zero
+        return lambda m: out.get(m, zero)
+    return out.__getitem__
+
+
+def _is_finite(series: GenSeries) -> bool:
+    return isinstance(series.support, FiniteSet)
+
+
+def _inputs(node: GenSeries) -> list:
+    """The operands whose values a node is evaluated from."""
+    op, *operands = node._build
+    if op == "terms" or op == "leaf":
+        return []
+    # a finite product with an infinite factor has empty support: a leaf
+    if _is_finite(node) and not all(_is_finite(f) for f in operands):
+        return []
+    return operands
+
+
+def _dense_kernel(monoid: Monoid, region: int):
+    """(product kernel, top element) where windows are closed under factors."""
+    carrier = getattr(monoid, "carrier", None)
+    if isinstance(carrier, NatUsual):
+        return _cauchy, region
+    if isinstance(carrier, Truncated):
+        return _cauchy, min(carrier.n, region)
+    if isinstance(carrier, PosNatMulUsual):
+        return _sieve, region
+    return None, None
+
+
+def _evaluate(node: GenSeries, inputs: list, kernel, top, region):
+    op = node._build[0]
+    monoid, ring = node.monoid, node.ring
+    fn = node._fn
+    if _is_finite(node):
+        if op == "terms":
+            return node._build[1]
+        if not inputs:
+            return {m: fn(m) for m in node.support.elements}
+        if op == "neg":
+            return {m: ring.neg(c) for m, c in inputs[0].items()}
+        f, g = inputs
+        if op == "add":
+            out = dict(f)
+            for m, c in g.items():
+                out[m] = ring.add(out[m], c) if m in out else c
+            return out
+        return _convolve(monoid, ring, f, g)
+    zero = ring.zero
+    if op == "leaf":
+        out = [zero] * (top + 1)
+        for m in monoid.enumerate_desc(node.support, region):
+            out[m] = fn(m)
+        return out
+    inputs = [_densify(v, top, zero) for v in inputs]
+    if op == "neg":
+        return list(map(ring.neg, inputs[0]))
+    f, g = inputs
+    if op == "add":
+        return list(map(ring.add, f, g))
+    if isinstance(ring, IntRing):
+        return kernel(f, g, operator.add, operator.mul, 0)
+    if isinstance(ring, RationalRing):
+        (fi, fd), (gi, gd) = _lift(f), _lift(g)
+        den = fd * gd
+        return [Fraction(v, den) for v in kernel(fi, gi, operator.add, operator.mul, 0)]
+    return kernel(f, g, ring.add, ring.mul, zero)
+
+
+def _densify(value, top: int, zero) -> list:
+    """A finite table as a dense list over the window; lists pass through."""
+    if isinstance(value, list):
+        return value
+    out = [zero] * (top + 1)
+    for m, c in value.items():
+        if m <= top:
+            out[m] = c
+    return out
+
+
+def _lift(values: list):
+    """Rationals as integer numerators over one common denominator."""
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _convolve(monoid: Monoid, ring: Ring, f: dict, g: dict) -> dict:
+    """Exact product of two finite tables; undefined monoid products drop out."""
+    out = {}
+    for x, a in f.items():
+        for y, b in g.items():
+            m = monoid.mul(x, y)
+            if m is not None:
+                c = ring.mul(a, b)
+                out[m] = ring.add(out[m], c) if m in out else c
+    return out
+
+
+def _cauchy(f: list, g: list, add, mul, zero) -> list:
+    """out[k] = sum of f[i] * g[k - i] over i <= k: products on nat and trunc."""
+    rg = g[::-1]
+    top = len(f) - 1
+    # plain ints take sum's fast path; other rings fold with their own add
+    total = sum if add is operator.add else (lambda terms: reduce(add, terms, zero))
+    return [total(map(mul, f[:k + 1], rg[top - k:])) for k in range(top + 1)]
+
+
+def _sieve(f: list, g: list, add, mul, zero) -> list:
+    """out[d * k] = sum of f[d] * g[k]: Dirichlet products; index 0 is unused."""
+    top = len(f) - 1
+    out = [zero] * (top + 1)
+    for d in range(1, top + 1):
+        out[d::d] = map(add, out[d::d], map(mul, repeat(f[d]), g[1:top // d + 1]))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # constructors
 
 
@@ -153,7 +346,7 @@ def from_terms(monoid: Monoid, ring: Ring, terms) -> GenSeries:
         seen.add(m)
         if not ring.is_zero(c):
             table[m] = c
-    return GenSeries(monoid, ring, table.__getitem__, finite(table))
+    return GenSeries(monoid, ring, table.__getitem__, finite(table), ("terms", table))
 
 
 def zero_series(monoid: Monoid, ring: Ring) -> GenSeries:

@@ -3,6 +3,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from genseries.cli import main
 
 import oracles
@@ -52,6 +54,18 @@ def test_series_eval_from_input_file(capsys, tmp_path):
     path.write_text(json.dumps(blob))
     code, out, _ = run_cli(capsys, "series-eval", "--input", str(path))
     assert code == 0 and out.strip() == "1 + 5·T^2"
+
+
+@pytest.mark.parametrize("monoid,expr", [
+    ("nat", "1 + T"), ("nat", "geometric"), ("nat-discrete", "T"), ("int", "T^(-1)"),
+    ("int-discrete", "1"), ("posnat-mul", "zeta * T^2"), ("posnat-div", "T^3"),
+    ("rational-grid", "T^(1/2)"), ('{"words": "xy"}', "T^x"), ('{"trunc": 3}', "1 + T"),
+])
+def test_negative_window_is_refused_on_every_carrier(capsys, monoid, expr):
+    code, out, err = run_cli(capsys, "series-eval", "--monoid", monoid, "--ring", "int",
+                             "--expr", expr, "--window", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: window must be a nonnegative integer, got -1\n"
 
 
 def test_series_eval_requires_window(capsys):
@@ -117,6 +131,28 @@ def test_classify_rejects_mismatched_descriptor(capsys):
     code, _, err = run_cli(capsys, "classify", "--carrier", "nat",
                            "--descriptor", '{"gridtail": {"a": 0, "n": 2}}')
     assert code == 1 and "grid tails" in err
+
+
+@pytest.mark.parametrize("descriptor", [
+    '{"gridtail": {"a": 1}}',
+    '{"gridtail": {"a": 1, "n": 2, "b": 3}}',
+    '{"gridtail": {"a": "1", "n": 2}}',
+    '{"gridtail": {"a": true, "n": 2}}',
+    '{"gridtail": {"a": 1, "n": 0}}',
+    '{"gridtail": [1, 2]}',
+    '{"tailge": 5}',
+    '{"tailge": {"a": 1.5}}',
+    '{"tailge": {}}',
+    '{"finite": 5}',
+    '{"finite": "12"}',
+    '{"finite": [[1]]}',
+])
+def test_classify_rejects_malformed_descriptor_fields(capsys, descriptor):
+    for carrier in ("rational-grid", "int"):
+        code, out, err = run_cli(capsys, "classify", "--carrier", carrier,
+                                 "--descriptor", descriptor)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err, err
 
 
 def divisor_poset_json(n):

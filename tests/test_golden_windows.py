@@ -1,0 +1,28 @@
+"""Byte-for-byte stdout of window commands.
+
+``golden_windows.json`` holds argv lists and the exact stdout that the lazy
+per-coefficient evaluator printed for them: ``series-eval``, ``dirichlet``
+and ``puiseux`` in text and JSON, over the int, rational, mod 7 and mat2
+rings and the nat, trunc, posnat-mul, words, int and rational-grid
+carriers.  Any evaluation path behind these commands must reproduce them
+exactly, including the ``support`` field of ``puiseux`` payloads.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from genseries.cli import main
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_windows.json")
+                    .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"][:1] + c["argv"][-4:])
+                                              for c in GOLDEN])
+def test_window_command_stdout_is_pinned(case, capsys):
+    code = main(list(case["argv"]))
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == case["stdout"]
