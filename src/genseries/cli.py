@@ -19,6 +19,7 @@ including the seed, produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -61,12 +62,18 @@ def _tokenize(text: str) -> list:
     return out
 
 
+# Each parenthesis or unary minus nests one recursive call deeper; this cap
+# keeps the parser well inside the interpreter's recursion limit.
+_MAX_NESTING = 100
+
+
 class _ExprParser:
     """terms, +, -, products, parentheses, named builtins."""
 
     def __init__(self, text: str, monoid: Monoid, ring: Ring, window: int):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.monoid = monoid
         self.ring = ring
         self.window = window
@@ -104,10 +111,19 @@ class _ExprParser:
             acc = acc * self.unary()
         return acc
 
+    def nested(self, parse) -> GenSeries:
+        """parse() one nesting level deeper, within the cap."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise InputError(f"expression nests deeper than {_MAX_NESTING} levels")
+        out = parse()
+        self.depth -= 1
+        return out
+
     def unary(self) -> GenSeries:
         if self.peek() == ("op", "-"):
             self.take("op", "-")
-            return -self.unary()
+            return -self.nested(self.unary)
         return self.atom()
 
     def atom(self) -> GenSeries:
@@ -117,7 +133,7 @@ class _ExprParser:
             return self.constant(value)
         if kind == "op" and value == "(":
             self.take("op", "(")
-            inner = self.expr()
+            inner = self.nested(self.expr)
             self.take("op", ")")
             return inner
         if kind == "name":
@@ -296,12 +312,12 @@ def cmd_dirichlet(args) -> int:
     expr = _field(args, blob, "expr", "expr")
     series = eval_expression(expr, posnat_mul(), ring, n_max)
     values = series.window_coeffs(n_max)
-    rows = [[n, ring.element_to_json(values.get(n, ring.zero))] for n in range(1, n_max + 1)]
+    rows = [(n, values.get(n, ring.zero)) for n in range(1, n_max + 1)]
     if args.format == "json":
-        _emit_json({"values": rows})
+        _emit_json({"values": [[n, ring.element_to_json(value)] for n, value in rows]})
     else:
         for n, value in rows:
-            print(f"{n}\t{value}")
+            print(f"{n}\t{ring.render(value)}")
     return 0
 
 
@@ -464,7 +480,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process: building it costs more than
+    most commands."""
     parser = _Parser(prog="genseries",
                      description="generalized power series, poset classification, "
                                  "and a finiteness-space category checker")

@@ -205,6 +205,11 @@ class CatalogMonoid(Monoid):
     def _candidates(self, m, s, t):
         c = self.carrier
         if isinstance(c, (NatUsual, NatDiscrete, Truncated)):
+            # over a finite side; its elements above m are no factors of m
+            if isinstance(s, FiniteSet):
+                return [(x, m - x) for x in s.elements if x <= m]
+            if isinstance(t, FiniteSet):
+                return [(m - y, y) for y in t.elements if y <= m]
             return [(i, m - i) for i in range(m + 1)]
         if isinstance(c, (IntUsual, IntDiscrete)):
             if isinstance(s, FiniteSet):

@@ -1,9 +1,10 @@
 """Generalized power series: lazy coefficient oracles with finitary support.
 
 A series is a function from a monoid carrier to a coefficient ring,
-carried as a memoized oracle plus a support descriptor.  Coefficients
-outside the descriptor are zero by construction (the oracle is masked),
-which makes support soundness an invariant rather than a hope.
+carried as a memo of computed coefficients plus a support descriptor.
+Coefficients outside the descriptor are zero by construction (nothing is
+evaluated there), which makes support soundness an invariant rather than
+a hope.
 
 The product is convolution over finite decompositions:
 
@@ -17,27 +18,25 @@ so renders and tests are reproducible.  Extensional equality of lazy
 series is undecidable; the honest surrogate is ``agree_on``, which
 compares coefficients over every carrier element in a finite window.
 
-There are two evaluation paths, and they agree coefficient for
-coefficient:
-
-* ``coeff(m)`` answers one query lazily through the memo, decomposing m
-  and recursing into the factors.
-* ``window_coeffs(region)`` -- and so ``terms_on`` and ``render`` --
-  evaluates a whole window bottom-up.  Every series records how it was
-  built (a finite table, a leaf function, or ``add``/``neg``/``mul`` of
-  other series), and the record is walked iteratively in post-order, so
-  chain depth costs no stack.  On ``nat`` and ``trunc`` a product is a
-  Cauchy product over lists, O(N^2); on ``posnat-mul`` it is a Dirichlet
-  sieve, O(N log N); both factors finite, on any carrier, it is a
-  convolution of the full tables, |s|*|t| monoid products.  Integer and
-  rational coefficients run these kernels on plain ints (rationals over a
-  common denominator); other rings use their own ``add`` and ``mul``.
-  Infinite supports on the other carriers (Laurent and Puiseux tails,
-  lazy words) fall back to per-element ``coeff``.
+Every series records how it was built: a finite table, a leaf function,
+or ``add``/``neg``/``mul`` of other series.  A finite series holds its
+whole table from construction on (sums, negations and products of finite
+series are computed when they are built), so its support is exactly the
+table's keys.  All other coefficients come from one evaluator,
+``_evaluate``, behind ``coeff``, ``window_coeffs`` (and so ``terms_on``
+and ``render``), ``agree_on`` and ``is_zero_on``.  It walks the build
+record iteratively, so chain depth costs no stack, and it asks each
+operand only for the points its parents need: a product needs its factors
+on the fibers of its points.  On ``nat`` and ``trunc`` a product of two
+infinite factors is a Cauchy product over lists, one dot product per
+point; on ``posnat-mul`` a whole window is a Dirichlet sieve, while a
+single query sums its divisor pairs; everywhere else fibers come from
+``decompose_within``.  Each series keeps its values in its memo, so
+repeated queries reuse work below the root, and leaves are read only at
+members of their support, once each.
 
 Series may be shared across threads: the memo fill is idempotent, so
-concurrent queries can at worst duplicate work, never disagree, and the
-window path keeps all of its state local to the call.
+concurrent queries can at worst duplicate work, never disagree.
 """
 
 from __future__ import annotations
@@ -48,71 +47,65 @@ from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 
-from .catalog import (ALL, FiniteSet, NatUsual, PosNatMulUsual, Truncated,
+from .catalog import (ALL, All, FiniteSet, NatUsual, PosNatMulUsual, Truncated,
                       finite)
 from .errors import InputError, SizeBoundError
 from .monoids import Monoid, nat, posnat_mul
 from .rings import IntRing, RationalRing, Ring
 
-# how a series was built: ("terms", table), ("leaf",), ("add", f, g),
-# ("neg", f) or ("mul", f, g)
-_LEAF = ("leaf",)
+# how a series was built: ("table",), ("leaf", fn), ("add", f, g), ("neg", f)
+# or ("mul", f, g)
+_TABLE = ("table",)
 
 
 class GenSeries:
     """An element of the generalized power series ring over (monoid, ring)."""
 
-    __slots__ = ("monoid", "ring", "support", "_fn", "_memo", "_build")
+    __slots__ = ("monoid", "ring", "support", "_memo", "_build")
 
-    def __init__(self, monoid: Monoid, ring: Ring, fn, support, build=_LEAF):
+    def __init__(self, monoid: Monoid, ring: Ring, support, build, memo=None):
         monoid.require_admitted(support)
         self.monoid = monoid
         self.ring = ring
         self.support = support
-        self._fn = fn
-        self._memo = {}
+        # a finite series' memo is its whole table, zero values included
+        self._memo = {} if memo is None else memo
         self._build = build
 
     # -- observation ---------------------------------------------------------
 
     def coeff(self, m):
         self.monoid.check_element(m)
-        memo = self._memo
-        if m not in memo:
-            if self.monoid.member(self.support, m):
-                value = self._fn(m)
-            else:
-                value = self.ring.zero
-            memo[m] = value
-        return memo[m]
+        return _evaluate(self, (m,))[0]
 
     def agree_on(self, other: "GenSeries", region: int) -> bool:
         """Coefficientwise equality over every carrier element in the window."""
         _check_compatible(self, other)
-        return all(
-            self.ring.eq(self.coeff(m), other.coeff(m))
-            for m in self.monoid.window(region)
-        )
+        points = self.monoid.window(region)
+        return all(map(self.ring.eq, _evaluate(self, points), _evaluate(other, points)))
 
     def is_zero_on(self, region: int) -> bool:
-        return all(self.ring.is_zero(self.coeff(m)) for m in self.monoid.window(region))
+        return all(map(self.ring.is_zero, _evaluate(self, self.monoid.window(region))))
 
     # -- arithmetic ------------------------------------------------------------
 
     def add(self, other: "GenSeries") -> "GenSeries":
         _check_compatible(self, other)
-        ring = self.ring
-        return GenSeries(
-            self.monoid, ring,
-            lambda m: ring.add(self.coeff(m), other.coeff(m)),
-            self.monoid.union_bound(self.support, other.support),
-            ("add", self, other),
-        )
+        monoid, ring = self.monoid, self.ring
+        if _is_finite(self) and _is_finite(other):
+            table = dict(self._memo)
+            for m, c in other._memo.items():
+                table[m] = ring.add(table[m], c) if m in table else c
+            return GenSeries(monoid, ring, finite(table), _TABLE, table)
+        return GenSeries(monoid, ring, monoid.union_bound(self.support, other.support),
+                         ("add", self, other))
 
     def neg(self) -> "GenSeries":
         ring = self.ring
-        return GenSeries(self.monoid, ring, lambda m: ring.neg(self.coeff(m)), self.support,
-                         ("neg", self))
+        if _is_finite(self):
+            table = {m: ring.neg(c) for m, c in self._memo.items()}
+            return GenSeries(self.monoid, ring, self.support, _TABLE, table)
+        return GenSeries(self.monoid, ring, self.support, ("neg", self))
 
     def sub(self, other: "GenSeries") -> "GenSeries":
         return self.add(other.neg())
@@ -120,15 +113,12 @@ class GenSeries:
     def mul(self, other: "GenSeries") -> "GenSeries":
         _check_compatible(self, other)
         monoid, ring = self.monoid, self.ring
-        s, t = self.support, other.support
-
-        def convolve(m):
-            total = ring.zero
-            for m1, m2 in monoid.decompose_within(m, s, t):
-                total = ring.add(total, ring.mul(self.coeff(m1), other.coeff(m2)))
-            return total
-
-        return GenSeries(monoid, ring, convolve, monoid.mul_bound(s, t),
+        if _is_finite(self) and _is_finite(other):
+            table = _convolve(monoid, ring, self._memo, other._memo)
+            return GenSeries(monoid, ring, finite(table), _TABLE, table)
+        # the bound of a finite and an infinite factor is finite only when it
+        # is empty, so an empty memo is then the whole table
+        return GenSeries(monoid, ring, monoid.mul_bound(self.support, other.support),
                          ("mul", self, other))
 
     __add__ = add
@@ -140,10 +130,9 @@ class GenSeries:
 
     def window_coeffs(self, region: int) -> dict:
         """{m: coefficient} for every support element in the window, in
-        display order: the values of ``coeff``, evaluated bottom-up."""
+        display order."""
         elements = self.monoid.enumerate_desc(self.support, region)
-        lookup = _window_lookup(self, region)
-        return {m: lookup(m) for m in elements}
+        return dict(zip(elements, _evaluate(self, elements)))
 
     def terms_on(self, region: int) -> list:
         """Nonzero (element, coefficient) pairs on the support window."""
@@ -178,120 +167,131 @@ def _check_compatible(f: GenSeries, g: GenSeries):
         raise InputError(f"series rings differ: {f.ring!r} vs {g.ring!r}")
 
 
-# ---------------------------------------------------------------------------
-# window evaluation
-
-
-def _window_lookup(root: GenSeries, region: int):
-    """A function m -> coefficient of root, valid on root's support window.
-
-    Walks root's build record in post-order with an explicit stack.  Each
-    node becomes a table {m: value} of all its terms when its support is
-    finite, or a dense list indexed by element over the window on the
-    carriers whose windows are closed under factors.  Leaves are read only
-    at their support's members, as ``coeff`` reads them; the region has
-    been checked by the caller.
-    """
-    kernel, top = _dense_kernel(root.monoid, region)
-    if kernel is None and not _is_finite(root):
-        return root.coeff
-    values = {}  # id(node) -> table or dense list; root's record keeps every node alive
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if id(node) in values:
-            stack.pop()
-            continue
-        inputs = _inputs(node)
-        pending = [f for f in inputs if id(f) not in values]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        values[id(node)] = _evaluate(node, [values[id(f)] for f in inputs], kernel, top,
-                                     region)
-    out = values[id(root)]
-    if isinstance(out, dict):
-        zero = root.ring.zero
-        return lambda m: out.get(m, zero)
-    return out.__getitem__
-
-
 def _is_finite(series: GenSeries) -> bool:
     return isinstance(series.support, FiniteSet)
 
 
-def _inputs(node: GenSeries) -> list:
-    """The operands whose values a node is evaluated from."""
-    op, *operands = node._build
-    if op == "terms" or op == "leaf":
-        return []
-    # a finite product with an infinite factor has empty support: a leaf
-    if _is_finite(node) and not all(_is_finite(f) for f in operands):
-        return []
-    return operands
+# ---------------------------------------------------------------------------
+# evaluation
 
 
-def _dense_kernel(monoid: Monoid, region: int):
-    """(product kernel, top element) where windows are closed under factors."""
-    carrier = getattr(monoid, "carrier", None)
-    if isinstance(carrier, NatUsual):
-        return _cauchy, region
-    if isinstance(carrier, Truncated):
-        return _cauchy, min(carrier.n, region)
-    if isinstance(carrier, PosNatMulUsual):
-        return _sieve, region
-    return None, None
+def _evaluate(root: GenSeries, points) -> list:
+    """root's coefficients at carrier elements that the caller has validated.
 
-
-def _evaluate(node: GenSeries, inputs: list, kernel, top, region):
-    op = node._build[0]
-    monoid, ring = node.monoid, node.ring
-    fn = node._fn
-    if _is_finite(node):
-        if op == "terms":
-            return node._build[1]
-        if not inputs:
-            return {m: fn(m) for m in node.support.elements}
-        if op == "neg":
-            return {m: ring.neg(c) for m, c in inputs[0].items()}
-        f, g = inputs
-        if op == "add":
-            out = dict(f)
-            for m, c in g.items():
-                out[m] = ring.add(out[m], c) if m in out else c
-            return out
-        return _convolve(monoid, ring, f, g)
+    Values are computed into the memos of root and the series below it.
+    Top-down, each node's demand -- the members of its support that its
+    parents need and its memo lacks -- passes to its operands: a sum or a
+    negation needs them at the same points, a product its factors on the
+    fibers of its points.  Bottom-up, each node then computes its demand
+    into its memo.  Finite tables, memoized points and points outside an
+    operand's support end the descent.
+    """
+    monoid, ring = root.monoid, root.ring
     zero = ring.zero
-    if op == "leaf":
-        out = [zero] * (top + 1)
-        for m in monoid.enumerate_desc(node.support, region):
-            out[m] = fn(m)
-        return out
-    inputs = [_densify(v, top, zero) for v in inputs]
-    if op == "neg":
-        return list(map(ring.neg, inputs[0]))
-    f, g = inputs
-    if op == "add":
-        return list(map(ring.add, f, g))
+    need = {}  # node -> the points to compute
+
+    def demand(node, pts):
+        if _is_finite(node):
+            return
+        memo, support = node._memo, node.support
+        anywhere = isinstance(support, All)
+        new = [p for p in pts if p not in memo and (anywhere or monoid.member(support, p))]
+        if new:
+            need.setdefault(node, set()).update(new)
+
+    demand(root, points)
+    order, seen, stack = [], set(), [(root, False)] if need else []
+    while stack:  # post-order of the infinite nodes: operands first
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            if node._build[0] != "leaf":
+                stack.extend((f, False) for f in node._build[1:] if not _is_finite(f))
+
+    plans = {}  # product node -> its list kernel, or its fibers {m: pairs}
+    for node in reversed(order):  # parents first, so each demand is whole when passed on
+        wanted = need.get(node)
+        op, *operands = node._build
+        if not wanted or op == "leaf":
+            continue
+        if op != "mul":
+            for f in operands:
+                demand(f, wanted)
+            continue
+        f, g = operands
+        kernel = _kernel(monoid, f, g, wanted)
+        if kernel is None:
+            fibers = plans[node] = {m: monoid.decompose_within(m, f.support, g.support)
+                                    for m in wanted}
+            demand(f, [a for pairs in fibers.values() for a, _ in pairs])
+            demand(g, [b for pairs in fibers.values() for _, b in pairs])
+        else:
+            plans[node] = kernel
+            span = range(monoid.unit, max(wanted) + 1)  # every factor of the points
+            demand(f, span)
+            demand(g, span)
+
+    for node in order:
+        wanted = need.get(node)
+        if not wanted:
+            continue
+        memo = node._memo
+        op, *operands = node._build
+        if op == "leaf":
+            fn = operands[0]
+            for m in wanted:
+                memo[m] = fn(m)
+            continue
+        fv = operands[0]._memo
+        if op == "neg":
+            for m in wanted:
+                memo[m] = ring.neg(fv[m])
+            continue
+        gv = operands[1]._memo
+        if op == "add":
+            for m in wanted:
+                memo[m] = ring.add(fv.get(m, zero), gv.get(m, zero))
+            continue
+        plan = plans[node]
+        if isinstance(plan, dict):
+            for m, pairs in plan.items():
+                total = zero
+                for a, b in pairs:
+                    total = ring.add(total, ring.mul(fv[a], gv[b]))
+                memo[m] = total
+        else:
+            top, ks = max(wanted), list(wanted)
+            f_list = [fv.get(i, zero) for i in range(top + 1)]
+            g_list = [gv.get(i, zero) for i in range(top + 1)]
+            memo.update(zip(ks, _products(plan, ring, f_list, g_list, ks)))
+    memo = root._memo
+    return [memo.get(m, zero) for m in points]
+
+
+def _kernel(monoid: Monoid, f: GenSeries, g: GenSeries, wanted: set):
+    """The list kernel for a product of two infinite factors, where one applies."""
+    if _is_finite(f) or _is_finite(g):
+        return None
+    carrier = getattr(monoid, "carrier", None)
+    if isinstance(carrier, (NatUsual, Truncated)):
+        return _cauchy
+    if isinstance(carrier, PosNatMulUsual) and len(wanted) == max(wanted):
+        return _sieve  # a whole window; a single query sums its divisor pairs
+    return None
+
+
+def _products(kernel, ring: Ring, f: list, g: list, ks: list) -> list:
+    """The kernel's values at ks, on plain ints where the ring allows."""
     if isinstance(ring, IntRing):
-        return kernel(f, g, operator.add, operator.mul, 0)
+        return kernel(f, g, ks, operator.add, operator.mul, 0)
     if isinstance(ring, RationalRing):
         (fi, fd), (gi, gd) = _lift(f), _lift(g)
         den = fd * gd
-        return [Fraction(v, den) for v in kernel(fi, gi, operator.add, operator.mul, 0)]
-    return kernel(f, g, ring.add, ring.mul, zero)
-
-
-def _densify(value, top: int, zero) -> list:
-    """A finite table as a dense list over the window; lists pass through."""
-    if isinstance(value, list):
-        return value
-    out = [zero] * (top + 1)
-    for m, c in value.items():
-        if m <= top:
-            out[m] = c
-    return out
+        return [Fraction(v, den) for v in kernel(fi, gi, ks, operator.add, operator.mul, 0)]
+    return kernel(f, g, ks, ring.add, ring.mul, ring.zero)
 
 
 def _lift(values: list):
@@ -312,22 +312,23 @@ def _convolve(monoid: Monoid, ring: Ring, f: dict, g: dict) -> dict:
     return out
 
 
-def _cauchy(f: list, g: list, add, mul, zero) -> list:
-    """out[k] = sum of f[i] * g[k - i] over i <= k: products on nat and trunc."""
+def _cauchy(f: list, g: list, ks, add, mul, zero) -> list:
+    """At each k, the sum of f[i] * g[k - i] over i <= k: products on nat and trunc."""
     rg = g[::-1]
     top = len(f) - 1
     # plain ints take sum's fast path; other rings fold with their own add
     total = sum if add is operator.add else (lambda terms: reduce(add, terms, zero))
-    return [total(map(mul, f[:k + 1], rg[top - k:])) for k in range(top + 1)]
+    return [total(map(mul, f[:k + 1], rg[top - k:])) for k in ks]
 
 
-def _sieve(f: list, g: list, add, mul, zero) -> list:
-    """out[d * k] = sum of f[d] * g[k]: Dirichlet products; index 0 is unused."""
+def _sieve(f: list, g: list, ks, add, mul, zero) -> list:
+    """At each k, the sum of f[d] * g[k / d] over d | k: Dirichlet products; index
+    0 is unused."""
     top = len(f) - 1
     out = [zero] * (top + 1)
     for d in range(1, top + 1):
         out[d::d] = map(add, out[d::d], map(mul, repeat(f[d]), g[1:top // d + 1]))
-    return out
+    return [out[k] for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +347,7 @@ def from_terms(monoid: Monoid, ring: Ring, terms) -> GenSeries:
         seen.add(m)
         if not ring.is_zero(c):
             table[m] = c
-    return GenSeries(monoid, ring, table.__getitem__, finite(table), ("terms", table))
+    return GenSeries(monoid, ring, finite(table), _TABLE, table)
 
 
 def zero_series(monoid: Monoid, ring: Ring) -> GenSeries:
@@ -359,8 +360,15 @@ def unit_series(monoid: Monoid, ring: Ring) -> GenSeries:
 
 
 def from_function(monoid: Monoid, ring: Ring, support, fn) -> GenSeries:
-    """A lazy series: fn is consulted only inside the support descriptor."""
-    return GenSeries(monoid, ring, fn, support)
+    """A lazy series: fn is consulted only inside the support descriptor.
+
+    On a finite support the table is read off fn at once, at each member.
+    """
+    if isinstance(support, FiniteSet):
+        monoid.require_admitted(support)
+        table = {m: fn(m) for m in support.elements}
+        return GenSeries(monoid, ring, support, _TABLE, table)
+    return GenSeries(monoid, ring, support, ("leaf", fn))
 
 
 # ---------------------------------------------------------------------------

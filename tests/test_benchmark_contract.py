@@ -1,0 +1,34 @@
+"""The benchmark's contract with this code: one pass of each workload and
+the known-defect probe, run through ``benchmarks/run.py``'s own helpers,
+end with a JSON line in which every operation is ``ok``, and the CLI cold
+start that ``setup_s`` times runs."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+RUN = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "run.py"
+
+
+@pytest.fixture(scope="module")
+def run():
+    spec = importlib.util.spec_from_file_location("benchmark_run", RUN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["window-render", "point-query", "checker"])
+def test_one_pass_of_each_workload_is_all_ok(run, workload):
+    report = run.run_pass(workload, 7, trace=False)
+    assert report["outcomes"] and set(report["outcomes"]) == {"ok"}
+    assert len(report["op_s"]) == len(report["cal_s"]) == len(report["outcomes"])
+
+
+def test_known_defect_probe_is_ok(run):
+    assert run.run_probe()["outcome"] == "ok"
+
+
+def test_cold_start_snippet_runs(run):
+    assert run.cold_start() > 0

@@ -267,6 +267,22 @@ def test_bad_expression_reports_position(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("expr", ["(" * 2000 + "1" + ")" * 2000, "-" * 2000 + "1"],
+                         ids=["parentheses", "unary-minus"])
+def test_deep_nesting_is_a_validation_error(capsys, expr):
+    code, _, err = run_cli(capsys, "series-eval", "--monoid", "nat", "--ring", "int",
+                           f"--expr={expr}", "--window", "3")
+    assert code == 1
+    assert err == "error: expression nests deeper than 100 levels\n"
+
+
+def test_nesting_up_to_the_cap_parses(capsys):
+    expr = "-(" * 50 + "T" + ")" * 50
+    code, out, _ = run_cli(capsys, "series-eval", "--monoid", "nat", "--ring", "int",
+                           f"--expr={expr}", "--window", "3")
+    assert code == 0 and out == "1·T^1\n"
+
+
 def test_builtin_on_wrong_carrier(capsys):
     code, _, err = run_cli(capsys, "series-eval", "--monoid", "int", "--ring", "int",
                            "--expr", "geometric", "--window", "3")

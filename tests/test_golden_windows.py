@@ -1,11 +1,13 @@
 """Byte-for-byte stdout of window commands.
 
-``golden_windows.json`` holds argv lists and the exact stdout that the lazy
-per-coefficient evaluator printed for them: ``series-eval``, ``dirichlet``
-and ``puiseux`` in text and JSON, over the int, rational, mod 7 and mat2
-rings and the nat, trunc, posnat-mul, words, int and rational-grid
-carriers.  Any evaluation path behind these commands must reproduce them
-exactly, including the ``support`` field of ``puiseux`` payloads.
+``golden_windows.json`` holds argv lists and the exact stdout printed for
+them: ``series-eval``, ``dirichlet`` and ``puiseux`` in text and JSON, over
+the int, rational, mod 7 and mat2 rings and the nat, trunc, posnat-mul,
+words, int and rational-grid carriers.  The evaluator behind these
+commands must reproduce them exactly, including the ``support`` field of
+``puiseux`` payloads.  The ``dirichlet`` text rows print each value with
+the ring's own rendering, as ``series-eval`` does (``4`` rather than
+``{'mod': 7, 'val': 4}``).
 """
 
 import json

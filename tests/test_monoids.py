@@ -109,6 +109,13 @@ def test_decompose_matches_brute_force(rng):
             window = oracles.covering_window(monoid, m, s, t)
             assert monoid.decompose_within(m, s, t) == \
                 oracles.brute_decompose(monoid, m, s, t, window)
+    # one finite side on the additive naturals, with elements above m
+    for monoid, elements in ((nat(), [0, 2, 5, 9]), (truncated(4), [1, 3, 4])):
+        for s, t in ((finite(elements), ALL), (ALL, finite(elements))):
+            for m in range(5):
+                window = oracles.covering_window(monoid, m, s, t)
+                assert monoid.decompose_within(m, s, t) == \
+                    oracles.brute_decompose(monoid, m, s, t, window)
 
 
 # ---------------------------------------------------------------------------

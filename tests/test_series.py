@@ -185,6 +185,21 @@ def test_memoization_is_observationally_pure():
     assert calls == [3]
 
 
+def test_finite_function_series_is_read_once_per_member():
+    calls = []
+
+    def fn(m):
+        calls.append(m)
+        return m - 1
+
+    f = from_function(nat(), R, finite([1, 3]), fn)
+    assert sorted(calls) == [1, 3]
+    assert f.support == finite([1, 3])  # the zero value at 1 keeps its key
+    assert [f.coeff(m) for m in range(5)] == [0, 0, 0, 2, 0]
+    assert (f * f).support == finite([2, 4, 6]) and (f * f).coeff(6) == 4
+    assert sorted(calls) == [1, 3]
+
+
 def test_coeff_validates_elements():
     with pytest.raises(Exception):
         geometric(R).coeff(-1)
