@@ -11,7 +11,8 @@ category-check run the finiteness-space verification sweep
 selftest       condensed property suites of every module
 
 Exit codes: 0 success, 1 invalid input, 2 internal invariant violation
-(the latter is always a bug).  Windows are mandatory on lazy-series
+or any other unexpected exception (always a bug, reported in one line
+without a traceback).  Windows are mandatory on lazy-series
 commands so every invocation terminates.  Identical invocations,
 including the seed, produce byte-identical output.
 """
@@ -30,7 +31,7 @@ from .errors import GenSeriesError, InputError, InternalError
 from .monoids import CatalogMonoid, Monoid, monoid_from_spec, posnat_mul, rational_grid
 from .posets import (FinitePomonoid, FinitePoset, classify_subset,
                      is_strict_pomonoid, largest_antichain, longest_chain,
-                     poset_violations)
+                     poset_violations, relation_from_json)
 from .rings import Ring, ring_from_spec
 from .series import GenSeries, from_terms, geometric, moebius, zeta
 from .selftest import run_selftest
@@ -51,7 +52,10 @@ def _tokenize(text: str) -> list:
         pos = m.end()
         number, name, sym = m.groups()
         if number is not None:
-            out.append(("num", int(number)))
+            try:
+                out.append(("num", int(number)))
+            except ValueError as exc:  # past the interpreter's digit limit
+                raise InputError(f"number at position {m.start(1)}: {exc}") from exc
         elif name is not None:
             out.append(("name", name))
         elif sym.strip():
@@ -182,6 +186,8 @@ class _ExprParser:
             if self.peek() == ("op", "/"):
                 self.take("op", "/")
                 den = self.take("num")[1]
+                if den == 0:
+                    raise InputError("exponent has a zero denominator")
                 from fractions import Fraction
                 element = Fraction(num, den)
             else:
@@ -239,9 +245,12 @@ def _load_input(args):
     if getattr(args, "input", None):
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
-                return json.load(fh)
+                blob = json.load(fh)
         except OSError as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from exc
+        if not isinstance(blob, dict):
+            raise InputError(f"{args.input} must hold a JSON object")
+        return blob
     return {}
 
 
@@ -369,10 +378,12 @@ def cmd_poset(args) -> int:
             obj = json.loads(obj)
         except json.JSONDecodeError as exc:
             raise InputError(f"poset line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise InputError("poset JSON must be an object")
     op = args.operation
     if op == "validate":
-        bad = poset_violations(tuple(obj.get("elements", ())),
-                               tuple(tuple(r) for r in obj.get("leq", ())))
+        bad = poset_violations(*relation_from_json(obj.get("elements", []),
+                                                   obj.get("leq", [])))
         if args.format == "json":
             _emit_json({"valid": not bad, "violations": bad})
         else:
@@ -437,7 +448,7 @@ def _check_user_diagram(blob, args) -> int:
     cod = finspace.space_from_json(blob["cod"])
     if len(dom) > 6 or len(cod) > 6:
         raise InputError("diagram carriers are capped at 6 points; "
-                         "mediator enumeration is exponential")
+                         "cone enumeration is exponential")
     dom_sys = finspace.system_from_json(blob["dom"]) if "family" in blob["dom"] else None
     cod_sys = finspace.system_from_json(blob["cod"]) if "family" in blob["cod"] else None
     f = finspace.partial_fn_from_json(blob["f"], dom, cod)
@@ -562,6 +573,9 @@ def main(argv=None) -> int:
     except GenSeriesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error (this is a bug): {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

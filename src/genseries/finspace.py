@@ -13,8 +13,9 @@ plays two roles:
 * the categorical constructions (equalizer, product with adjoined
   points, three-stage coequalizer, coproduct, internal hom, evaluation,
   currying) run on the forced structure, where their universal
-  properties can be verified by exhaustively enumerating every candidate
-  mediating partial function.
+  properties are verified by counting every mediating partial function.
+  Composition is pointwise, so the mediators of a cone are a product of
+  per-point choices, and each point is searched over every value.
 
 Composition is partial-function composition; the empty partial function
 is the zero morphism because the empty space is a zero object.
@@ -454,23 +455,42 @@ def uncurry(h: PartialFn, z: FinSpace, x: FinSpace, y: FinSpace) -> PartialFn:
 
 
 def _mediators(dom: FinSpace, cod: FinSpace, check, limit=2) -> list[PartialFn]:
-    """Exhaustively enumerate partial functions dom -> cod passing check.
+    """The mediators dom -> cod that check allows, at most `limit` of them.
 
-    Stops after `limit` hits (existence needs one, uniqueness fails at two).
-    The candidates are raw graphs, so the search is exhaustive by
-    construction rather than by trusting any factorization recipe.
+    check(x) lists the values in (None,) + cod.carrier that a mediator may
+    take at x; None is undefinedness.  Composition of partial functions is
+    pointwise, so each universal property below is a conjunction of
+    per-point conditions, and its mediators are exactly the Cartesian
+    product of these lists: |dom|*(|cod|+1) trials instead of
+    (|cod|+1)^|dom| whole graphs.  check(None) asks the same of the
+    undefined point, which every partial function sends to itself, so
+    without None in that list there is no mediator.  Existence needs one
+    hit and uniqueness fails at two, hence `limit`.
     """
-    found = []
-    choices = (None,) + cod.carrier
-    labels = dom.carrier
-    for combo in itertools.product(choices, repeat=len(labels)):
-        lookup = dict(zip(labels, combo))
-        if check(lambda v, _m=lookup: _m.get(v)):
-            found.append(PartialFn(dom, cod, {k: v for k, v in lookup.items()
-                                              if v is not None}))
-            if len(found) >= limit:
-                break
-    return found
+    if None not in check(None):
+        return []
+    allowed = [check(x) for x in dom.carrier]
+    return [PartialFn(dom, cod, {x: v for x, v in zip(dom.carrier, values) if v is not None})
+            for values in itertools.islice(itertools.product(*allowed), limit)]
+
+
+def _post_check(cod: FinSpace, pairs):
+    """check for _mediators: k with leg . k == cone for every (leg, cone);
+    leg(None) is None, so undefined stays undefined."""
+    def check(z):
+        return [v for v in (None,) + cod.carrier
+                if all(leg(v) == cone(z) for leg, cone in pairs)]
+    return check
+
+
+def _pre_check(cod: FinSpace, pairs):
+    """check for _mediators: k with k . arrow == cocone for every (arrow,
+    cocone); at None, the sources the arrow leaves undefined."""
+    def check(c):
+        wanted = {cocone(x) for arrow, cocone in pairs for x in arrow.dom.carrier
+                  if arrow(x) == c}
+        return [w for w in (None,) + cod.carrier if wanted <= {w}]
+    return check
 
 
 def default_probes(max_size: int = 2) -> list[FinSpace]:
@@ -489,12 +509,7 @@ def verify_equalizer(f: PartialFn, g: PartialFn, eq_space: FinSpace,
         for h in all_partial_fns(z, f.dom):
             if compose(f, h) != compose(g, h):
                 continue
-
-            def factors(k, _h=h):
-                return all(incl(k(zz)) == _h(zz) if k(zz) is not None else _h(zz) is None
-                           for zz in z.carrier)
-
-            hits = _mediators(z, eq_space, factors)
+            hits = _mediators(z, eq_space, _post_check(eq_space, [(incl, h)]))
             if len(hits) != 1:
                 problems.append(
                     f"equalizer mediation failed for cone {h!r}: {len(hits)} mediators")
@@ -505,25 +520,14 @@ def verify_product(spaces: list[FinSpace], prod: FinSpace,
                    projections: list[PartialFn], probes=None,
                    rng: random.Random | None = None,
                    cone_cap: int | None = None) -> list[str]:
-    """For sampled cones, exhaustively count mediators into the product."""
+    """For sampled cones, count mediators into the product."""
     problems = []
     for z in probes if probes is not None else default_probes():
-        legs = [list(all_partial_fns(z, sp)) for sp in spaces]
-        cones = list(itertools.product(*legs))
+        cones = list(itertools.product(*[all_partial_fns(z, sp) for sp in spaces]))
         if cone_cap is not None and len(cones) > cone_cap:
             cones = (rng or random.Random(0)).sample(cones, cone_cap)
         for cone in cones:
-
-            def factors(k, _cone=cone):
-                for pi, fi in zip(projections, _cone):
-                    for zz in z.carrier:
-                        v = k(zz)
-                        via = pi(v) if v is not None else None
-                        if via != fi(zz):
-                            return False
-                return True
-
-            hits = _mediators(z, prod, factors)
+            hits = _mediators(z, prod, _post_check(prod, list(zip(projections, cone))))
             if len(hits) != 1:
                 problems.append(
                     f"product mediation failed for a cone from {z!r}: {len(hits)} mediators")
@@ -536,22 +540,11 @@ def verify_coproduct(spaces: list[FinSpace], cop: FinSpace,
                      cone_cap: int | None = None) -> list[str]:
     problems = []
     for z in probes if probes is not None else default_probes():
-        legs = [list(all_partial_fns(sp, z)) for sp in spaces]
-        cocones = list(itertools.product(*legs))
+        cocones = list(itertools.product(*[all_partial_fns(sp, z) for sp in spaces]))
         if cone_cap is not None and len(cocones) > cone_cap:
             cocones = (rng or random.Random(0)).sample(cocones, cone_cap)
         for cocone in cocones:
-
-            def factors(k, _cocone=cocone):
-                for si, fi in zip(injections, _cocone):
-                    for xx in si.dom.carrier:
-                        v = si(xx)
-                        via = k(v) if v is not None else None
-                        if via != fi(xx):
-                            return False
-                return True
-
-            hits = _mediators(cop, z, factors)
+            hits = _mediators(cop, z, _pre_check(z, list(zip(injections, cocone))))
             if len(hits) != 1:
                 problems.append(
                     f"coproduct mediation failed for a cocone into {z!r}: {len(hits)} mediators")
@@ -567,16 +560,7 @@ def verify_coequalizer(f: PartialFn, g: PartialFn, q_space: FinSpace,
         for h in all_partial_fns(f.cod, z):
             if compose(h, f) != compose(h, g):
                 continue
-
-            def factors(k, _h=h):
-                for y in f.cod.carrier:
-                    v = qmap(y)
-                    via = k(v) if v is not None else None
-                    if via != _h(y):
-                        return False
-                return True
-
-            hits = _mediators(q_space, z, factors)
+            hits = _mediators(q_space, z, _pre_check(z, [(qmap, h)]))
             if len(hits) != 1:
                 problems.append(
                     f"coequalizer mediation failed for cocone {h!r}: {len(hits)} mediators")
@@ -587,7 +571,7 @@ def verify_universal(kind: str, size_cap: int = 3, **kw) -> list[str]:
     """Dispatch by construction kind; empty report means verified.
 
     The diagram's input carriers must stay within size_cap (default 3):
-    mediator enumeration is exponential and meant for desk-scale checking.
+    cone enumeration is exponential and meant for desk-scale checking.
     """
     if kind in ("equalizer", "coequalizer"):
         diagram = [kw["f"].dom, kw["f"].cod]
@@ -616,10 +600,17 @@ def verify_universal(kind: str, size_cap: int = 3, **kw) -> list[str]:
 # JSON codecs for the CLI checker
 
 
+def _labels_from_json(value, what) -> list:
+    """A JSON list of point labels; null is refused, as None is undefinedness."""
+    if not isinstance(value, list) or not all(isinstance(x, (str, int, float)) for x in value):
+        raise InputError(f"{what} must be a list of string or number labels, got {value!r}")
+    return value
+
+
 def space_from_json(obj) -> FinSpace:
     if not isinstance(obj, dict) or "carrier" not in obj:
         raise InputError('space JSON needs a "carrier" list')
-    return space(obj["carrier"])
+    return space(_labels_from_json(obj["carrier"], "carrier"))
 
 
 def system_from_json(obj) -> SetSystem:
@@ -630,13 +621,17 @@ def system_from_json(obj) -> SetSystem:
     sp = space_from_json(obj)
     if "family" not in obj:
         return full_system(sp.carrier)
-    return system(sp.carrier, [frozenset(u) for u in obj["family"]])
+    if not isinstance(obj["family"], list):
+        raise InputError("family must be a list of label lists")
+    return system(sp.carrier, [_labels_from_json(u, "family member") for u in obj["family"]])
 
 
 def partial_fn_from_json(obj, dom: FinSpace, cod: FinSpace) -> PartialFn:
-    if not isinstance(obj, dict) or "graph" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("graph"), dict):
         raise InputError('morphism JSON needs a "graph" object')
-    return PartialFn(dom, cod, dict(obj["graph"]))
+    graph = obj["graph"]
+    _labels_from_json(list(graph.values()), "graph")
+    return PartialFn(dom, cod, graph)
 
 
 # ---------------------------------------------------------------------------

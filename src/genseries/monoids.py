@@ -21,7 +21,9 @@ tested invariant, not a definition, so the two routes stay independent.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,6 +56,13 @@ class Monoid:
 
     def mul(self, a, b):
         """The monoid product, or None where it is undefined."""
+        self.check_element(a)
+        self.check_element(b)
+        return self.product(a, b)
+
+    def product(self, a, b):
+        """``mul`` of two elements already checked: the trusted kernel that
+        table convolution runs per key pair."""
         raise NotImplementedError
 
     def sort_key(self, x):
@@ -162,21 +171,19 @@ class CatalogMonoid(Monoid):
             return ""
         raise CarrierError(f"no monoid structure on {c!r}")
 
-    def mul(self, a, b):
-        self.check_element(a)
-        self.check_element(b)
+    @functools.cached_property
+    def product(self):
+        # picked once per monoid, so a product walks no isinstance chain
         c = self.carrier
         if isinstance(c, Truncated):
-            total = a + b
-            return total if total <= c.n else None
-        if isinstance(c, (NatUsual, NatDiscrete, IntUsual, IntDiscrete)):
-            return a + b
+            n = c.n
+            return lambda a, b: a + b if a + b <= n else None
+        if isinstance(c, (NatUsual, NatDiscrete, IntUsual, IntDiscrete, FreeWords)):
+            return operator.add
         if isinstance(c, (PosNatMulUsual, PosNatDivisibility)):
-            return a * b
+            return operator.mul
         if isinstance(c, RationalGrid):
-            return Fraction(a) + Fraction(b)
-        if isinstance(c, FreeWords):
-            return a + b
+            return lambda a, b: Fraction(a) + Fraction(b)
         raise CarrierError(f"no monoid structure on {c!r}")
 
     def sort_key(self, x):
@@ -388,9 +395,7 @@ class TableMonoid(Monoid):
     def unit(self):
         return self.labels[self.unit_index]
 
-    def mul(self, a, b):
-        self.check_element(a)
-        self.check_element(b)
+    def product(self, a, b):
         return self.labels[self.cayley[self.labels.index(a)][self.labels.index(b)]]
 
     def sort_key(self, x):

@@ -127,6 +127,22 @@ def poset_violations(elements, leq) -> list[str]:
     return bad
 
 
+def _list_of_lists(value) -> bool:
+    return isinstance(value, list) and all(isinstance(row, list) for row in value)
+
+
+def relation_from_json(elements, leq) -> tuple[tuple, tuple]:
+    """The "elements" and "leq" fields of poset JSON as label and boolean
+    matrix tuples.  Shapes and labels are checked here; the order laws are
+    left to ``poset_violations``."""
+    if not isinstance(elements, list) or not _list_of_lists(leq):
+        raise InputError('poset JSON needs "elements" as a list and "leq" as a list of lists')
+    for label in elements:
+        if isinstance(label, (list, dict)):
+            raise InputError(f"poset element {label!r} is not a JSON scalar")
+    return tuple(elements), tuple(tuple(bool(v) for v in row) for row in leq)
+
+
 @dataclass(frozen=True)
 class FinitePoset:
     """A finite poset given by labels and a boolean order matrix."""
@@ -177,7 +193,7 @@ class FinitePoset:
     def from_json(obj) -> "FinitePoset":
         if not isinstance(obj, dict) or "elements" not in obj or "leq" not in obj:
             raise InputError('poset JSON needs "elements" and "leq"')
-        return FinitePoset.build(obj["elements"], obj["leq"])
+        return FinitePoset(*relation_from_json(obj["elements"], obj["leq"]))
 
 
 def longest_chain(p: FinitePoset) -> list:
@@ -342,6 +358,9 @@ class FinitePomonoid:
         poset = FinitePoset.from_json(obj)
         if "cayley" not in obj or "unit" not in obj:
             raise InputError('pomonoid JSON needs "cayley" and "unit"')
+        if not _list_of_lists(obj["cayley"]) or type(obj["unit"]) is not int:
+            raise InputError('pomonoid JSON needs "cayley" as a list of lists '
+                             'and "unit" as an element index')
         return FinitePomonoid(poset, tuple(tuple(r) for r in obj["cayley"]), obj["unit"])
 
 

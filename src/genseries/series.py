@@ -303,9 +303,10 @@ def _lift(values: list):
 def _convolve(monoid: Monoid, ring: Ring, f: dict, g: dict) -> dict:
     """Exact product of two finite tables; undefined monoid products drop out."""
     out = {}
+    product = monoid.product  # table keys were checked when the tables were built
     for x, a in f.items():
         for y, b in g.items():
-            m = monoid.mul(x, y)
+            m = product(x, y)
             if m is not None:
                 c = ring.mul(a, b)
                 out[m] = ring.add(out[m], c) if m in out else c

@@ -164,7 +164,7 @@ def test_criterion_5_truncated_partial_ring():
 
 
 def test_criterion_6_category_verification():
-    """Universal properties by exhaustive mediator enumeration: 500 seeded
+    """Universal properties by counting every mediator: 500 seeded
     parallel pairs (equalizer + coequalizer), all space pairs <= 3 for
     products/coproducts, exact curry/uncurry counting <= 2, dual-operator
     laws over 200 sampled families with |X| <= 4."""

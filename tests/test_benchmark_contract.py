@@ -1,7 +1,7 @@
-"""The benchmark's contract with this code: one pass of each workload and
-the known-defect probe, run through ``benchmarks/run.py``'s own helpers,
-end with a JSON line in which every operation is ``ok``, and the CLI cold
-start that ``setup_s`` times runs."""
+"""The benchmark's contract with this code: one pass of each workload, a
+traced checker pass and the known-defect probe, run through
+``benchmarks/run.py``'s own helpers, end with a JSON line in which every
+operation is ``ok``, and the CLI cold start that ``setup_s`` times runs."""
 
 import importlib.util
 import pathlib
@@ -32,3 +32,10 @@ def test_known_defect_probe_is_ok(run):
 
 def test_cold_start_snippet_runs(run):
     assert run.cold_start() > 0
+
+
+def test_traced_checker_pass_counts_cones(run):
+    # the tracer wraps finspace._mediators and calls its check with one point
+    report = run.run_pass("checker", 7, trace=True)
+    assert report["outcomes"] and set(report["outcomes"]) == {"ok"}
+    assert report["layers"]["finspace.cones"] > 0

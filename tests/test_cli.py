@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from genseries import finspace
 from genseries.cli import main
 
 import oracles
@@ -287,6 +292,145 @@ def test_builtin_on_wrong_carrier(capsys):
     code, _, err = run_cli(capsys, "series-eval", "--monoid", "int", "--ring", "int",
                            "--expr", "geometric", "--window", "3")
     assert code == 1 and "naturals" in err
+
+
+def assert_refused(result):
+    code, out, err = result
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("expr", ["T^(1/0)", "T^(-3/0)", "9" * 5000],
+                         ids=["zero-denominator", "negative-zero-denominator", "5000-digits"])
+def test_unparseable_numbers_are_validation_errors(capsys, expr):
+    assert_refused(run_cli(capsys, "series-eval", "--monoid", "rational-grid",
+                           "--ring", "rational", "--window", "3", f"--expr={expr}"))
+
+
+@pytest.mark.parametrize("poset", [
+    '{"elements": [1, 2], "leq": 5}',
+    '{"elements": 5, "leq": []}',
+    '{"elements": [1], "leq": [5]}',
+    '{"elements": [[1]], "leq": [[true]]}',
+    '5',
+    '[1, 2]',
+])
+@pytest.mark.parametrize("operation", ["validate", "longest-chain", "largest-antichain",
+                                       "strict-pomonoid"])
+def test_malformed_poset_json_is_a_validation_error(capsys, poset, operation):
+    assert_refused(run_cli(capsys, "poset", "--operation", operation, "--poset", poset))
+
+
+@pytest.mark.parametrize("fields", ['"cayley": 5, "unit": 0', '"cayley": [5], "unit": 0',
+                                    '"cayley": [[0]], "unit": "a"'])
+def test_malformed_pomonoid_json_is_a_validation_error(capsys, fields):
+    poset = '{"elements": [1], "leq": [[true]], ' + fields + '}'
+    assert_refused(run_cli(capsys, "poset", "--operation", "strict-pomonoid",
+                           "--poset", poset))
+
+
+@pytest.mark.parametrize("blob", [
+    {"dom": {"carrier": 5}, "cod": {"carrier": ["c"]}, "f": {"graph": {}}},
+    {"dom": {"carrier": ["a"]}, "cod": {"carrier": ["c"]}, "f": {"graph": 5}},
+    {"dom": {"carrier": [["a"]]}, "cod": {"carrier": ["c"]}, "f": {"graph": {}}},
+    {"dom": {"carrier": ["a"], "family": 5}, "cod": {"carrier": ["c"]}, "f": {"graph": {}}},
+    {"dom": {"carrier": ["a"], "family": [5]}, "cod": {"carrier": ["c"]}, "f": {"graph": {}}},
+    {"dom": {"carrier": ["a"]}, "cod": {"carrier": ["c"]}, "f": {"graph": {"a": ["c"]}}},
+    {"dom": {"carrier": [None]}, "cod": {"carrier": ["c"]}, "f": {"graph": {}}},
+    {"dom": 5, "cod": 5, "f": 5},
+    [1, 2],
+], ids=["carrier-5", "graph-5", "list-label", "family-5", "family-member-5",
+        "list-graph-value", "null-label", "spaces-5", "top-level-list"])
+def test_malformed_diagram_json_is_a_validation_error(capsys, tmp_path, blob):
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(blob))
+    assert_refused(run_cli(capsys, "category-check", "--input", str(path)))
+
+
+def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def crash(**kwargs):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(finspace, "verification_sweep", crash)
+    code, out, err = run_cli(capsys, "category-check")
+    assert code == 2 and out == ""
+    assert err == "internal error (this is a bug): RuntimeError: boom\n"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit-code contract
+
+
+def run_quietly(*argv):
+    """main() with captured streams; capsys is per test, not per example."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(result):
+    """Every input exits 0 or 1 without a traceback: these inputs build only
+    correct constructions, so exit 2 (a bug) must not occur either."""
+    code, _, err = result
+    assert code in (0, 1), err
+    assert "Traceback" not in err
+    assert (code == 1) == err.startswith("error: "), err
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from(["a", "b", ""])
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.sampled_from(["a", "b", "graph", "carrier"]),
+                                             inner, max_size=2), max_leaves=6)
+LABELS = st.sampled_from(["a", "b", "c", 1, True, None, [1], 1.5])
+EXPR_TOKENS = st.sampled_from(["T", "^", "(", ")", "/", "-", "+", "*", "·", " ", "0", "1",
+                               "2", "12", "x", "y", "xy", "geometric", "zeta", "moebius", "%"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tokens=st.lists(EXPR_TOKENS, max_size=14),
+       monoid=st.sampled_from(["nat", "nat-discrete", "int", "int-discrete", "posnat-mul",
+                               "posnat-div", "rational-grid", '{"words": "xy"}',
+                               '{"trunc": 3}']),
+       ring=st.sampled_from(["int", "rational", '{"mod": 7}', "mat2"]),
+       window=st.integers(0, 4))
+def test_fuzz_series_eval_keeps_the_exit_code_contract(tokens, monoid, ring, window):
+    assert_contract(run_quietly("series-eval", "--monoid", monoid, "--ring", ring,
+                                "--window", str(window), f"--expr={''.join(tokens)}"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(poset=JSON_VALUES | st.fixed_dictionaries(
+           {"elements": JSON_VALUES | st.lists(LABELS, max_size=3),
+            "leq": JSON_VALUES | st.lists(st.lists(JSON_SCALARS, max_size=3), max_size=3)},
+           optional={"cayley": JSON_VALUES | st.lists(st.lists(st.integers(-1, 3), max_size=3),
+                                                      max_size=3),
+                     "unit": JSON_VALUES}),
+       operation=st.sampled_from(["validate", "longest-chain", "largest-antichain",
+                                  "strict-pomonoid"]))
+def test_fuzz_poset_json_keeps_the_exit_code_contract(poset, operation):
+    assert_contract(run_quietly("poset", "--operation", operation,
+                                "--poset", json.dumps(poset)))
+
+
+SPACES = JSON_VALUES | st.fixed_dictionaries(
+    {"carrier": JSON_VALUES | st.lists(LABELS, max_size=4)},
+    optional={"family": JSON_VALUES | st.lists(st.lists(LABELS, max_size=2), max_size=3)})
+MORPHISMS = JSON_VALUES | st.fixed_dictionaries(
+    {"graph": JSON_VALUES | st.dictionaries(st.sampled_from(["a", "b", "c", "1"]), LABELS,
+                                            max_size=3)})
+
+
+@pytest.fixture(scope="module")
+def diagram_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "diagram.json"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(blob=JSON_VALUES | st.fixed_dictionaries(
+    {"dom": SPACES, "cod": SPACES, "f": MORPHISMS}, optional={"g": MORPHISMS}))
+def test_fuzz_category_check_input_keeps_the_exit_code_contract(diagram_path, blob):
+    diagram_path.write_text(json.dumps(blob))
+    assert_contract(run_quietly("category-check", "--input", str(diagram_path)))
 
 
 # ---------------------------------------------------------------------------

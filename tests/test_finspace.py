@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from genseries import InputError, SizeBoundError
+from genseries import InputError, SizeBoundError, finspace
 from genseries.finspace import (PartialFn, Star, all_partial_fns, associator,
                                 coequalizer, compose, coproduct, curry,
                                 empty_fn, equalizer, ev,
@@ -379,3 +379,167 @@ def test_is_morphism_rejects_mismatched_systems():
     wrong = system(["z"], [["z"]])
     with pytest.raises(InputError):
         is_morphism(f, wrong, None)
+
+
+# ---------------------------------------------------------------------------
+# pointwise mediator search against the raw enumeration
+
+
+def raw_mediators(dom, cod, factors):
+    """How many partial functions dom -> cod pass factors, trying every raw
+    graph: the exhaustive search, the oracle for the pointwise one."""
+    return sum(1 for k in all_partial_fns(dom, cod) if factors(k))
+
+
+@pytest.fixture
+def pointwise_counts(monkeypatch):
+    """The uncapped mediator count of every search the verifiers run, in
+    order."""
+    counts = []
+    real = finspace._mediators
+
+    def spy(dom, cod, check, limit=2):
+        counts.append(len(real(dom, cod, check, limit=10**9)))
+        return real(dom, cod, check, limit)
+    monkeypatch.setattr(finspace, "_mediators", spy)
+    return counts
+
+
+PROBES = finspace.default_probes(2)
+
+
+def small_spaces(labels):
+    return [space(labels[:k]) for k in range(3)]
+
+
+def parallel_pairs():
+    for x in small_spaces(["a", "b"]):
+        for y in small_spaces(["c", "d"]):
+            fns = list(all_partial_fns(x, y))
+            yield from itertools.product(fns, repeat=2)
+
+
+def grow_domain(arrow, value):
+    """arrow on its domain plus a point "extra" sent to value (None:
+    undefined)."""
+    bigger = space(list(arrow.dom.carrier) + ["extra"])
+    extra = {"extra": value} if value is not None else {}
+    return bigger, PartialFn(bigger, arrow.cod, {**arrow.mapping, **extra})
+
+
+def grow_codomain(arrow):
+    """arrow into its codomain plus a point "extra" that nothing reaches."""
+    bigger = space(list(arrow.cod.carrier) + ["extra"])
+    return bigger, PartialFn(arrow.dom, bigger, arrow.mapping)
+
+
+def shrink_domain(arrow):
+    """arrow on its domain minus the first point."""
+    smaller = space(arrow.dom.carrier[1:])
+    return smaller, PartialFn(smaller, arrow.cod, {x: y for x, y in arrow.mapping.items()
+                                                  if x in smaller.carrier})
+
+
+def equalizer_variants(f, g):
+    """The equalizer, with an extra point (two mediators) and without a
+    point (none)."""
+    eq, incl = equalizer(f, g)
+    yield eq, incl
+    yield grow_domain(incl, incl(eq.carrier[0]) if len(eq) else None)
+    if len(eq):
+        yield shrink_domain(incl)
+
+
+def coequalizer_variants(f, g):
+    """The coequalizer, with a class nothing reaches (two mediators) and
+    with its first point misrouted to another class or dropped (none)."""
+    q, qmap = coequalizer(f, g)
+    yield q, qmap
+    yield grow_codomain(qmap)
+    if len(f.cod):
+        y0 = f.cod.carrier[0]
+        others = [c for c in q.carrier if c != qmap(y0)]
+        mapping = qmap.mapping
+        if others:
+            mapping[y0] = others[0]
+        else:
+            mapping.pop(y0, None)
+        yield q, PartialFn(qmap.dom, q, mapping)
+
+
+def test_pointwise_equalizer_and_coequalizer_counts_match_raw_enumeration(pointwise_counts):
+    seen = set()
+    for f, g in parallel_pairs():
+        for eq, incl in equalizer_variants(f, g):
+            expected = []
+            for z in PROBES:
+                for h in all_partial_fns(z, f.dom):
+                    if compose(f, h) == compose(g, h):
+                        expected.append(raw_mediators(
+                            z, eq, lambda k, h=h: compose(incl, k) == h))
+            pointwise_counts.clear()
+            report = verify_equalizer(f, g, eq, incl, PROBES)
+            assert pointwise_counts == expected
+            assert len([c for c in expected if c != 1]) == len(
+                [line for line in report if "mediators" in line])
+            seen.update(expected)
+        for q, qmap in coequalizer_variants(f, g):
+            expected = []
+            for z in PROBES:
+                for h in all_partial_fns(f.cod, z):
+                    if compose(h, f) == compose(h, g):
+                        expected.append(raw_mediators(
+                            q, z, lambda k, h=h: compose(k, qmap) == h))
+            pointwise_counts.clear()
+            verify_coequalizer(f, g, q, qmap, PROBES)
+            assert pointwise_counts == expected
+            seen.update(expected)
+    assert {0, 1, 2} <= seen
+
+
+def test_pointwise_product_and_coproduct_counts_match_raw_enumeration(pointwise_counts):
+    seen = set()
+    for left in small_spaces(["a", "b"]):
+        for right in small_spaces(["p", "q"]):
+            pair = [left, right]
+            prod, projs = product(pair)
+            # an extra point no projection sees (two mediators), a missing one (none)
+            legs = [grow_domain(pr, None)[1] for pr in projs]
+            variants = [(prod, projs), (legs[0].dom, legs)]
+            if len(prod):
+                legs = [shrink_domain(pr)[1] for pr in projs]
+                variants.append((legs[0].dom, legs))
+            for sp, legs in variants:
+                expected = []
+                for z in PROBES:
+                    for cone in itertools.product(*[all_partial_fns(z, x) for x in pair]):
+                        expected.append(raw_mediators(z, sp, lambda k, cone=cone: all(
+                            compose(pi, k) == fi for pi, fi in zip(legs, cone))))
+                pointwise_counts.clear()
+                report = verify_product(pair, sp, legs, PROBES)
+                assert pointwise_counts == expected
+                assert len(report) == len([c for c in expected if c != 1])
+                seen.update(expected)
+
+            cop, injs = coproduct(pair)
+            # a point no injection reaches (two mediators), a source an
+            # injection drops (none where the cocone is defined there)
+            legs = [grow_codomain(inj)[1] for inj in injs]
+            variants = [(cop, injs), (legs[0].cod, legs)]
+            for i, inj in enumerate(injs):
+                if len(inj.dom):
+                    mapping = inj.mapping
+                    del mapping[inj.dom.carrier[0]]
+                    variants.append((cop, injs[:i] + [PartialFn(inj.dom, cop, mapping)]
+                                     + injs[i + 1:]))
+            for sp, legs in variants:
+                expected = []
+                for z in PROBES:
+                    for cocone in itertools.product(*[all_partial_fns(x, z) for x in pair]):
+                        expected.append(raw_mediators(sp, z, lambda k, cocone=cocone: all(
+                            compose(k, si) == fi for si, fi in zip(legs, cocone))))
+                pointwise_counts.clear()
+                verify_coproduct(pair, sp, legs, PROBES)
+                assert pointwise_counts == expected
+                seen.update(expected)
+    assert {0, 1, 2} <= seen

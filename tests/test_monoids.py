@@ -10,7 +10,7 @@ from genseries import (ALL, CarrierError, DescriptorError, GridTail, TailGE,
                        posnat_div, posnat_mul, rational_grid, truncated)
 
 import oracles
-from conftest import random_descriptor
+from conftest import element_pool, random_descriptor
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +50,14 @@ def test_units_and_associativity_sampled(rng):
             left = monoid.mul(ab, c) if ab is not None else None
             right = monoid.mul(a, bc) if bc is not None else None
             assert left == right
+
+
+def test_unchecked_product_agrees_with_mul():
+    for monoid in catalog_monoids():
+        pool = element_pool(monoid)
+        for a in pool:
+            for b in pool:
+                assert monoid.product(a, b) == monoid.mul(a, b)
 
 
 # ---------------------------------------------------------------------------

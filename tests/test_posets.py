@@ -252,6 +252,7 @@ def test_embed_zmod3_decompositions():
     everything = finite([0, 1, 2])
     assert monoid.decompose_within(0, everything, everything) == [(0, 0), (1, 2), (2, 1)]
     assert monoid.mul(2, 2) == 1
+    assert monoid.product(2, 2) == 1
 
 
 def test_embedded_monoid_is_finite_support_only():
