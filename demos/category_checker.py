@@ -4,9 +4,9 @@ On a finite carrier the finitary structure is forced, so the interesting
 content is the constructions themselves: equalizers by agreement of
 partial functions, products over carriers with adjoined undefinedness
 points, a three-stage coequalizer, and an internal hom of nonempty
-partial functions with evaluation and currying.  Verification enumerates
-every candidate mediating partial function, so a corrupted construction
-is caught, not assumed away.
+partial functions with evaluation and currying.  Verification counts
+every mediating partial function, point by point, so a corrupted
+construction is caught, not assumed away.
 """
 
 from genseries.finspace import (PartialFn, Star, coequalizer, curry, ev,

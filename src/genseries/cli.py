@@ -416,6 +416,8 @@ def cmd_poset(args) -> int:
 
 
 def cmd_category_check(args) -> int:
+    if args.samples < 0:
+        raise InputError(f"--samples must be a nonnegative integer, got {args.samples}")
     blob = _load_input(args)
     if blob:
         return _check_user_diagram(blob, args)

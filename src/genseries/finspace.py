@@ -3,19 +3,18 @@
 A finiteness space is a set with a family of "finitary" subsets closed
 under double dual, where the dual of a family is every subset meeting
 each member finitely.  On a finite carrier the unique such structure is
-the full powerset -- the dual of anything is everything -- so this module
-plays two roles:
+the full powerset -- the dual of anything is everything, and ``perp``
+returns exactly that -- so this module plays two roles:
 
 * the ``SetSystem`` type carries arbitrary (possibly non-closed) families
-  so the dual operator and the morphism condition checkers can be
-  exercised literally, including against hand-built systems where they
-  actually fail;
+  so the image conditions of morphisms and hom members can be checked
+  against hand-built systems where they actually fail;
 * the categorical constructions (equalizer, product with adjoined
   points, three-stage coequalizer, coproduct, internal hom, evaluation,
   currying) run on the forced structure, where their universal
   properties are verified by counting every mediating partial function.
   Composition is pointwise, so the mediators of a cone are a product of
-  per-point choices, and each point is searched over every value.
+  per-point choices, each read from a table of the fixed legs.
 
 Composition is partial-function composition; the empty partial function
 is the zero morphism because the empty space is a zero object.
@@ -31,6 +30,7 @@ partial functions, where limits, colimits and an internal hom all exist.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -103,16 +103,10 @@ def subsets(labels) -> list[frozenset]:
     return out
 
 
-def _is_finite(s) -> bool:
-    # explicit carriers are finite; the guard keeps the dual literal
-    return True
-
-
 def perp(s: SetSystem) -> SetSystem:
-    """The dual family: subsets meeting every family member finitely."""
-    fam = [u2 for u2 in subsets(s.carrier)
-           if all(_is_finite(u2 & u) for u in s.family)]
-    return system(s.carrier, fam)
+    """The dual family: subsets meeting every family member finitely.  On a
+    finite carrier every subset does, so it is the full powerset."""
+    return full_system(s.carrier)
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +126,19 @@ class PartialFn:
                 raise InputError(f"{x!r} is not in the domain carrier")
             if y not in cod_set:
                 raise InputError(f"{y!r} is not in the codomain carrier")
-        self.dom = dom
-        self.cod = cod
-        self._map = mapping
-        self._id = (dom.carrier, cod.carrier,
-                    tuple(sorted(mapping.items(), key=_key)))
+        self.dom, self.cod, self._map = dom, cod, mapping
+        self._id = (dom.carrier, cod.carrier, tuple(map(mapping.get, dom.carrier)))
+
+    @classmethod
+    def _from_values(cls, dom: FinSpace, cod: FinSpace, values: tuple) -> PartialFn:
+        """The function taking values[i] at dom.carrier[i], None meaning
+        undefined, unchecked: each value must be None or in cod.carrier.
+        PartialFn(...) is the checked boundary."""
+        fn = cls.__new__(cls)
+        fn.dom, fn.cod = dom, cod
+        fn._map = {x: y for x, y in zip(dom.carrier, values) if y is not None}
+        fn._id = (dom.carrier, cod.carrier, values)
+        return fn
 
     def __call__(self, x):
         """The value at x, or None where undefined."""
@@ -162,7 +164,7 @@ class PartialFn:
         return hash(self._id)
 
     def __repr__(self):
-        items = ", ".join(f"{x!r}→{y!r}" for x, y in self._id[2])
+        items = ", ".join(f"{x!r}→{y!r}" for x, y in sorted(self._map.items(), key=_key))
         return f"PartialFn{{{items}}}"
 
 
@@ -179,20 +181,14 @@ def compose(outer: PartialFn, inner: PartialFn) -> PartialFn:
     """outer after inner; defined where both stages are."""
     if inner.cod != outer.dom:
         raise InputError("composition mismatch: inner codomain != outer domain")
-    mapping = {}
-    for x in inner.defined_on():
-        y = outer(inner(x))
-        if y is not None:
-            mapping[x] = y
-    return PartialFn(inner.dom, outer.cod, mapping)
+    return PartialFn._from_values(inner.dom, outer.cod,
+                                 tuple(outer(inner(x)) for x in inner.dom.carrier))
 
 
 def all_partial_fns(dom: FinSpace, cod: FinSpace):
     """Every partial function dom -> cod: (|cod|+1)^|dom| of them."""
-    choices = (None,) + cod.carrier
-    for combo in itertools.product(choices, repeat=len(dom.carrier)):
-        yield PartialFn(dom, cod, {x: y for x, y in zip(dom.carrier, combo)
-                                   if y is not None})
+    for values in itertools.product((None,) + cod.carrier, repeat=len(dom.carrier)):
+        yield PartialFn._from_values(dom, cod, values)
 
 
 def is_morphism(f: PartialFn, dom_system: SetSystem | None = None,
@@ -201,7 +197,9 @@ def is_morphism(f: PartialFn, dom_system: SetSystem | None = None,
     finitary set is finitary, and every pointwise preimage is dual-finitary.
 
     Against the forced structure both hold for any partial function; passing
-    hand-restricted systems exercises the checker for real.
+    hand-restricted systems exercises the image condition for real.  The
+    preimage condition always holds: the dual of any family on a finite
+    carrier is the full powerset (see ``perp``), which holds every preimage.
     """
     dom_system = dom_system if dom_system is not None else full_system(f.dom.carrier)
     cod_system = cod_system if cod_system is not None else full_system(f.cod.carrier)
@@ -211,11 +209,6 @@ def is_morphism(f: PartialFn, dom_system: SetSystem | None = None,
     for u in dom_system.family:
         image = frozenset(f(x) for x in u if f(x) is not None)
         if image not in cod_family:
-            return False
-    dual = set(perp(dom_system).family)
-    for b in cod_system.carrier:
-        pre = frozenset(x for x in f.dom.carrier if f(x) == b)
-        if pre not in dual:
             return False
     return True
 
@@ -310,10 +303,10 @@ def coequalizer(f: PartialFn, g: PartialFn) -> tuple[FinSpace, PartialFn]:
     Stage one quotients the codomain by the equivalence generated by
     f(x) ~ g(x) where both are defined.  Stage two removes every class hit
     by only one leg (those points must map to "undefined" in any cocone).
-    Stage three keeps the classes whose preimage is dual-finitary -- on a
-    finite carrier that removes nothing, but the filter is transcribed
-    literally so the construction stays reusable beyond finite models.
-    The quotient map is partial: undefined on discarded classes.
+    Stage three keeps the classes whose preimage is dual-finitary; on a
+    finite carrier the dual is the full powerset (see ``perp``), so it
+    keeps them all and is not computed.  The quotient map is partial:
+    undefined on discarded classes.
     """
     _require_parallel(f, g)
     carrier = f.cod.carrier
@@ -343,16 +336,10 @@ def coequalizer(f: PartialFn, g: PartialFn) -> tuple[FinSpace, PartialFn]:
 
     one_sided = {label_of[find(f(x))] for x in dom_f - dom_g}
     one_sided |= {label_of[find(g(x))] for x in dom_g - dom_f}
-    stage_two = [lbl for lbl in label_of.values() if lbl not in one_sided]
-
-    dual = set(perp(full_system(carrier)).family)
-    stage_three = [lbl for lbl in stage_two if frozenset(lbl) in dual]
-
-    kept = set(stage_three)
-    q_space = space(stage_three)
+    q_space = space([lbl for lbl in label_of.values() if lbl not in one_sided])
     qmap = PartialFn(f.cod, q_space,
                      {y: label_of[find(y)] for y in carrier
-                      if label_of[find(y)] in kept})
+                      if label_of[find(y)] not in one_sided})
     return q_space, qmap
 
 
@@ -369,11 +356,12 @@ def _graph_label(mapping) -> tuple:
     return tuple(sorted(mapping.items(), key=_key))
 
 
+@functools.cache
 def internal_hom(x: FinSpace, y: FinSpace, bound: int = 4096) -> FinSpace:
     """The space of nonempty partial functions x -> y.
 
     The carrier has (|y|+1)^|x| - 1 points, so a hard bound guards the
-    enumeration.
+    enumeration.  Spaces are immutable, so it is built once per process.
     """
     count = (len(y) + 1) ** len(x) - 1
     if count > bound:
@@ -387,8 +375,8 @@ def hom_family_conditions(w, dom_system: SetSystem, cod_system: SetSystem) -> di
 
     w is a collection of graph labels.  Condition "union" asks that the
     union of images of each finitary set is finitary (can fail on
-    restricted systems); the two finiteness conditions are literal and
-    degenerate-true on finite carriers.
+    restricted systems).  The two finiteness conditions ask that finitely
+    many members of w meet a given pair of sets; w is finite, so they hold.
     """
     w = [dict(lbl) for lbl in w]
     cod_family = set(cod_system.family)
@@ -397,20 +385,7 @@ def hom_family_conditions(w, dom_system: SetSystem, cod_system: SetSystem) -> di
         image = frozenset(y for h in w for x, y in h.items() if x in u)
         if image not in cod_family:
             union_ok = False
-    cofinite_ok = True
-    for u in dom_system.family:
-        for v2 in perp(cod_system).family:
-            hits = [h for h in w
-                    if any(x in u and y in v2 for x, y in h.items())]
-            if not _is_finite(hits):
-                cofinite_ok = False
-    pointwise_ok = True
-    for u in dom_system.family:
-        for y in cod_system.carrier:
-            hits = [h for h in w if any(x in u and hy == y for x, hy in h.items())]
-            if not _is_finite(hits):
-                pointwise_ok = False
-    return {"union": union_ok, "cofinite": cofinite_ok, "pointwise": pointwise_ok}
+    return {"union": union_ok, "cofinite": True, "pointwise": True}
 
 
 def ev(x: FinSpace, y: FinSpace, bound: int = 4096) -> PartialFn:
@@ -461,7 +436,7 @@ def _mediators(dom: FinSpace, cod: FinSpace, check, limit=2) -> list[PartialFn]:
     take at x; None is undefinedness.  Composition of partial functions is
     pointwise, so each universal property below is a conjunction of
     per-point conditions, and its mediators are exactly the Cartesian
-    product of these lists: |dom|*(|cod|+1) trials instead of
+    product of these lists: one lookup per point instead of
     (|cod|+1)^|dom| whole graphs.  check(None) asks the same of the
     undefined point, which every partial function sends to itself, so
     without None in that list there is no mediator.  Existence needs one
@@ -470,27 +445,46 @@ def _mediators(dom: FinSpace, cod: FinSpace, check, limit=2) -> list[PartialFn]:
     if None not in check(None):
         return []
     allowed = [check(x) for x in dom.carrier]
-    return [PartialFn(dom, cod, {x: v for x, v in zip(dom.carrier, values) if v is not None})
+    return [PartialFn._from_values(dom, cod, values)
             for values in itertools.islice(itertools.product(*allowed), limit)]
 
 
-def _post_check(cod: FinSpace, pairs):
-    """check for _mediators: k with leg . k == cone for every (leg, cone);
-    leg(None) is None, so undefined stays undefined."""
-    def check(z):
-        return [v for v in (None,) + cod.carrier
-                if all(leg(v) == cone(z) for leg, cone in pairs)]
-    return check
+def _post_check(cod: FinSpace, legs):
+    """For fixed legs, cones -> a check for _mediators allowing k with
+    leg . k == cone for every (leg, cone).  The legs are tabulated once,
+    each v in (None,) + cod.carrier filed in order under its leg values;
+    check(z) reads the entry for the cone's values at z, and check(None)
+    the all-None one, since leg(None) is None."""
+    table = {}
+    for v in (None,) + cod.carrier:
+        table.setdefault(tuple(leg(v) for leg in legs), []).append(v)
+
+    def for_cones(cones):
+        return lambda z: table.get(tuple(cone(z) for cone in cones), [])
+    return for_cones
 
 
-def _pre_check(cod: FinSpace, pairs):
-    """check for _mediators: k with k . arrow == cocone for every (arrow,
-    cocone); at None, the sources the arrow leaves undefined."""
-    def check(c):
-        wanted = {cocone(x) for arrow, cocone in pairs for x in arrow.dom.carrier
-                  if arrow(x) == c}
-        return [w for w in (None,) + cod.carrier if wanted <= {w}]
-    return check
+def _pre_check(cod: FinSpace, arrows):
+    """For fixed arrows, cocones -> a check for _mediators allowing k with
+    k . arrow == cocone for every (arrow, cocone).  Each arrow's preimages
+    are tabulated once, None collecting the sources it leaves undefined;
+    at c the cocones' values on them allow every value if there are none,
+    that value if they agree, and nothing otherwise."""
+    everything = [None, *cod.carrier]
+    preimages = [{} for _ in arrows]
+    for pre, arrow in zip(preimages, arrows):
+        for x in arrow.dom.carrier:
+            pre.setdefault(arrow(x), []).append(x)
+
+    def for_cocones(cocones):
+        def check(c):
+            wanted = {cocone(x) for pre, cocone in zip(preimages, cocones)
+                      for x in pre.get(c, ())}
+            if len(wanted) > 1:
+                return []
+            return list(wanted) or everything
+        return check
+    return for_cocones
 
 
 def default_probes(max_size: int = 2) -> list[FinSpace]:
@@ -505,11 +499,12 @@ def verify_equalizer(f: PartialFn, g: PartialFn, eq_space: FinSpace,
     problems = []
     if compose(f, incl) != compose(g, incl):
         problems.append("inclusion does not equalize the pair")
+    through = _post_check(eq_space, [incl])
     for z in probes if probes is not None else default_probes():
         for h in all_partial_fns(z, f.dom):
-            if compose(f, h) != compose(g, h):
+            if any(f(h(x)) != g(h(x)) for x in z.carrier):
                 continue
-            hits = _mediators(z, eq_space, _post_check(eq_space, [(incl, h)]))
+            hits = _mediators(z, eq_space, through([h]))
             if len(hits) != 1:
                 problems.append(
                     f"equalizer mediation failed for cone {h!r}: {len(hits)} mediators")
@@ -522,12 +517,13 @@ def verify_product(spaces: list[FinSpace], prod: FinSpace,
                    cone_cap: int | None = None) -> list[str]:
     """For sampled cones, count mediators into the product."""
     problems = []
+    through = _post_check(prod, projections)
     for z in probes if probes is not None else default_probes():
         cones = list(itertools.product(*[all_partial_fns(z, sp) for sp in spaces]))
         if cone_cap is not None and len(cones) > cone_cap:
             cones = (rng or random.Random(0)).sample(cones, cone_cap)
         for cone in cones:
-            hits = _mediators(z, prod, _post_check(prod, list(zip(projections, cone))))
+            hits = _mediators(z, prod, through(cone))
             if len(hits) != 1:
                 problems.append(
                     f"product mediation failed for a cone from {z!r}: {len(hits)} mediators")
@@ -540,11 +536,12 @@ def verify_coproduct(spaces: list[FinSpace], cop: FinSpace,
                      cone_cap: int | None = None) -> list[str]:
     problems = []
     for z in probes if probes is not None else default_probes():
+        through = _pre_check(z, injections)
         cocones = list(itertools.product(*[all_partial_fns(sp, z) for sp in spaces]))
         if cone_cap is not None and len(cocones) > cone_cap:
             cocones = (rng or random.Random(0)).sample(cocones, cone_cap)
         for cocone in cocones:
-            hits = _mediators(cop, z, _pre_check(z, list(zip(injections, cocone))))
+            hits = _mediators(cop, z, through(cocone))
             if len(hits) != 1:
                 problems.append(
                     f"coproduct mediation failed for a cocone into {z!r}: {len(hits)} mediators")
@@ -557,10 +554,11 @@ def verify_coequalizer(f: PartialFn, g: PartialFn, q_space: FinSpace,
     if compose(qmap, f) != compose(qmap, g):
         problems.append("quotient map does not coequalize the pair")
     for z in probes if probes is not None else default_probes():
+        through = _pre_check(z, [qmap])
         for h in all_partial_fns(f.cod, z):
-            if compose(h, f) != compose(h, g):
+            if any(h(f(x)) != h(g(x)) for x in f.dom.carrier):
                 continue
-            hits = _mediators(q_space, z, _pre_check(z, [(qmap, h)]))
+            hits = _mediators(q_space, z, through([h]))
             if len(hits) != 1:
                 problems.append(
                     f"coequalizer mediation failed for cocone {h!r}: {len(hits)} mediators")

@@ -208,6 +208,18 @@ def test_category_check_passes(capsys):
     assert out.strip().endswith("all universal properties verified")
 
 
+def test_category_check_refuses_negative_samples(capsys):
+    code, out, err = run_cli(capsys, "category-check", "--samples", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: --samples must be a nonnegative integer, got -1\n"
+
+
+def test_category_check_accepts_zero_samples(capsys):
+    code, out, _ = run_cli(capsys, "category-check", "--max-size", "1", "--samples", "0")
+    assert code == 0
+    assert out.startswith("equalizers+coequalizers: 0 parallel pairs\n")
+
+
 def test_category_check_user_diagram(capsys, tmp_path):
     blob = {
         "dom": {"carrier": ["x"]},

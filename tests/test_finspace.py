@@ -47,6 +47,15 @@ def test_perp_laws_sampled():
         assert set(thrice.family) == set(once.family)
 
 
+def test_perp_is_the_full_powerset_on_sampled_families():
+    rng = random.Random(11)
+    for _ in range(60):
+        labels = [f"e{i}" for i in range(rng.randint(0, 4))]
+        pool = finspace.subsets(labels)
+        s = system(labels, rng.sample(pool, rng.randint(0, len(pool))))
+        assert perp(s) == finspace.full_system(s.carrier)
+
+
 def test_perp_is_inclusion_reversing():
     small = system(["a", "b", "c"], [["a"]])
     large = system(["a", "b", "c"], [["a"], ["a", "b"]])
@@ -78,6 +87,37 @@ def test_partial_fn_validation():
         pfn(["a"], ["b"], {"z": "b"})
     with pytest.raises(InputError):
         pfn(["a"], ["b"], {"a": "q"})
+
+
+def test_partial_fn_identity_ignores_mapping_insertion_order():
+    dom, cod = space(["a", "b", 1]), space(["c", 2])
+    forward = PartialFn(dom, cod, {"a": "c", "b": 2, 1: "c"})
+    backward = PartialFn(dom, cod, {1: "c", "b": 2, "a": "c"})
+    assert forward == backward and hash(forward) == hash(backward)
+    assert len({forward, backward}) == 1
+    assert forward != PartialFn(dom, cod, {"a": "c", "b": 2})
+    assert forward != PartialFn(dom, space(["c", 2, 3]), {"a": "c", "b": 2, 1: "c"})
+
+
+def test_partial_fn_repr_sorts_pairs_by_label_repr():
+    f = PartialFn(space(["b", 1, "a"]), space(["y", 2]), {"b": "y", 1: 2, "a": 2})
+    # repr(('a', 2)) sorts before repr((1, 2)) because "('" < "(1"
+    assert repr(f) == "PartialFn{'a'→2, 'b'→'y', 1→2}"
+    assert repr(PartialFn(space([]), space([]), {})) == "PartialFn{}"
+
+
+def test_unchecked_construction_matches_the_checked_one():
+    sizes = [space(["a", "b"][:k]) for k in range(3)] + [space([1, "x"])]
+    for dom in sizes:
+        for cod in sizes:
+            for values in itertools.product((None,) + cod.carrier, repeat=len(dom)):
+                fast = PartialFn._from_values(dom, cod, values)
+                checked = PartialFn(dom, cod, {x: y for x, y in zip(dom.carrier, values)
+                                               if y is not None})
+                assert fast == checked and hash(fast) == hash(checked)
+                assert repr(fast) == repr(checked)
+                assert fast.mapping == checked.mapping
+                assert [fast(x) for x in dom.carrier] == list(values)
 
 
 def test_composition_and_identity_laws():
