@@ -16,9 +16,9 @@ from genseries.finspace import (PartialFn, Star, coequalizer, curry, ev,
 
 print("== the dual operator on a hand-built set system ==")
 restricted = system(["a", "b"], [["a"]])
-print("family:", [set(u) for u in restricted.family])
+print("family:", [sorted(u) for u in restricted.family])
 print("dual (everything meets {a} finitely):",
-      [set(u) for u in perp(restricted).family])
+      [sorted(u) for u in perp(restricted).family])
 
 print()
 print("== products adjoin an undefinedness point per factor ==")

@@ -83,8 +83,11 @@ class Carrier:
     """Base class for catalog carriers.
 
     Concrete variants are frozen dataclasses so carriers compare by value.
-    ``leq`` is the carrier's partial order, used for subsequence extraction
-    and display; the monoid operation lives in :mod:`genseries.monoids`.
+    A carrier holds its elements and ``leq``, its partial order, used for
+    subsequence extraction and display.  Variants that differ only in their
+    order share elements and windows through a private base.  The unit,
+    product and everything built on them live with the carrier's product
+    family in :mod:`genseries.monoids`.
     """
 
     name = "?"
@@ -134,98 +137,89 @@ def _exp_text(e) -> str:
     return f"T^{s}"
 
 
+class _Nat(Carrier):
+    """Elements and windows of ``NatUsual`` and ``NatDiscrete``."""
+
+    def is_element(self, x):
+        return _is_int(x) and x >= 0
+
+    def window(self, region):
+        _check_region(region)
+        return list(range(region + 1))
+
+
 @dataclass(frozen=True)
-class NatUsual(Carrier):
+class NatUsual(_Nat):
     name = "nat"
 
-    def is_element(self, x):
-        return _is_int(x) and x >= 0
-
     def leq(self, a, b):
         return a <= b
 
-    def window(self, region):
-        _check_region(region)
-        return list(range(region + 1))
-
 
 @dataclass(frozen=True)
-class NatDiscrete(Carrier):
+class NatDiscrete(_Nat):
     name = "nat-discrete"
 
-    def is_element(self, x):
-        return _is_int(x) and x >= 0
-
     def leq(self, a, b):
         return a == b
 
-    def window(self, region):
-        _check_region(region)
-        return list(range(region + 1))
 
-
-@dataclass(frozen=True)
-class IntUsual(Carrier):
-    name = "int"
+class _Int(Carrier):
+    """Elements and windows of ``IntUsual`` and ``IntDiscrete``."""
 
     def is_element(self, x):
         return _is_int(x)
+
+    def window(self, region):
+        _check_region(region)
+        return list(range(-region, region + 1))
+
+
+@dataclass(frozen=True)
+class IntUsual(_Int):
+    name = "int"
 
     def leq(self, a, b):
         return a <= b
 
-    def window(self, region):
-        _check_region(region)
-        return list(range(-region, region + 1))
-
 
 @dataclass(frozen=True)
-class IntDiscrete(Carrier):
+class IntDiscrete(_Int):
     name = "int-discrete"
-
-    def is_element(self, x):
-        return _is_int(x)
 
     def leq(self, a, b):
         return a == b
 
+
+class _PosNat(Carrier):
+    """Elements and windows of ``PosNatMulUsual`` and ``PosNatDivisibility``."""
+
+    def is_element(self, x):
+        return _is_int(x) and x >= 1
+
     def window(self, region):
         _check_region(region)
-        return list(range(-region, region + 1))
+        return list(range(1, region + 1))
 
 
 @dataclass(frozen=True)
-class PosNatMulUsual(Carrier):
+class PosNatMulUsual(_PosNat):
     """Positive naturals under multiplication, usual numeric order."""
 
     name = "posnat-mul"
 
-    def is_element(self, x):
-        return _is_int(x) and x >= 1
-
     def leq(self, a, b):
         return a <= b
 
-    def window(self, region):
-        _check_region(region)
-        return list(range(1, region + 1))
-
 
 @dataclass(frozen=True)
-class PosNatDivisibility(Carrier):
+class PosNatDivisibility(_PosNat):
     """Positive naturals under multiplication, divisibility order."""
 
     name = "posnat-div"
 
-    def is_element(self, x):
-        return _is_int(x) and x >= 1
-
     def leq(self, a, b):
         return b % a == 0
-
-    def window(self, region):
-        _check_region(region)
-        return list(range(1, region + 1))
 
 
 @dataclass(frozen=True)
@@ -364,19 +358,8 @@ def carrier_from_spec(spec) -> Carrier:
         if set(spec) == {"trunc"}:
             return Truncated(spec["trunc"])
         if set(spec) == {"words"}:
-            syms = spec["words"]
-            if isinstance(syms, str):
-                syms = list(syms)
-            return FreeWords(tuple(syms))
+            return FreeWords(tuple(spec["words"]))  # a string is its symbols
     raise InputError(f"bad carrier spec {spec!r}")
-
-
-def carrier_to_spec(carrier: Carrier):
-    if isinstance(carrier, Truncated):
-        return {"trunc": carrier.n}
-    if isinstance(carrier, FreeWords):
-        return {"words": list(carrier.alphabet)}
-    return carrier.name
 
 
 def descriptor_from_json(carrier: Carrier, obj) -> Descriptor:

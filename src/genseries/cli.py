@@ -28,7 +28,7 @@ import sys
 from . import finspace
 from .catalog import descriptor_from_json, descriptor_to_json, carrier_from_spec
 from .errors import GenSeriesError, InputError, InternalError
-from .monoids import CatalogMonoid, Monoid, monoid_from_spec, posnat_mul, rational_grid
+from .monoids import Monoid, monoid_from_spec, nat, posnat_mul, rational_grid
 from .posets import (FinitePomonoid, FinitePoset, classify_subset,
                      is_strict_pomonoid, largest_antichain, longest_chain,
                      poset_violations, relation_from_json)
@@ -159,15 +159,10 @@ class _ExprParser:
         return from_terms(self.monoid, self.ring, [(element, self.ring.one)])
 
     def _default_generator(self):
-        name = getattr(self.monoid, "carrier", None)
-        name = name.name if name is not None else ""
-        if name in ("nat", "nat-discrete", "int", "int-discrete", "truncated"):
-            element = 1
-        elif name == "rational-grid":
-            from fractions import Fraction
-            element = Fraction(1)
-        else:
-            raise InputError(f"carrier {name!r} has no default generator; write T^<element>")
+        element = self.monoid.generator
+        if element is None:
+            raise InputError(f"carrier {self.monoid.describe()!r} has no default generator; "
+                             "write T^<element>")
         self.monoid.check_element(element)
         return element
 
@@ -202,18 +197,16 @@ class _ExprParser:
         return element
 
     def builtin(self, name: str) -> GenSeries:
-        carrier = getattr(self.monoid, "carrier", None)
-        cname = carrier.name if carrier is not None else ""
         if name == "geometric":
-            if cname != "nat":
+            if self.monoid != nat():
                 raise InputError("geometric is a series over the naturals")
             return geometric(self.ring)
         if name == "zeta":
-            if cname != "posnat-mul":
+            if self.monoid != posnat_mul():
                 raise InputError("zeta is an arithmetic function (posnat-mul carrier)")
             return zeta(self.ring)
         if name == "moebius":
-            if cname != "posnat-mul":
+            if self.monoid != posnat_mul():
                 raise InputError("moebius is an arithmetic function (posnat-mul carrier)")
             return moebius(self.ring, self.window)
         raise InputError(f"unknown name {name!r} (builtins: geometric, zeta, moebius)")
@@ -235,8 +228,8 @@ def _series_payload(series: GenSeries, monoid, ring, window: int):
     terms = series.terms_on(window)
     return {
         "window": window,
-        "terms": [[monoid.carrier.element_to_json(m) if isinstance(monoid, CatalogMonoid) else m,
-                   ring.element_to_json(c)] for m, c in terms],
+        "terms": [[monoid.carrier.element_to_json(m), ring.element_to_json(c)]
+                  for m, c in terms],
         "text": series.format_terms(terms),
     }
 
@@ -569,9 +562,6 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error (this is a bug): {exc}", file=sys.stderr)
         return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except GenSeriesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

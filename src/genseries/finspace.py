@@ -84,7 +84,8 @@ class SetSystem:
 
 def system(labels, family) -> SetSystem:
     labels = sorted(set(labels), key=_key)
-    fam = sorted({frozenset(u) for u in family}, key=_key)
+    # each member by its sorted label keys: independent of the hash seed
+    fam = sorted({frozenset(u) for u in family}, key=lambda u: sorted(map(_key, u)))
     return SetSystem(tuple(labels), tuple(fam))
 
 

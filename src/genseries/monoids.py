@@ -14,6 +14,14 @@ convolution of lazy series computable:
   grammar.  For rational grid tails the product bound is the tail
   ``{k/(n*m) : k >= a*m + b*n}``, the sharp bound for sums of two tails.
 
+A carrier in :mod:`genseries.catalog` holds only its elements and its
+order; its monoid structure lives here, in one class per product family:
+the additive naturals (``nat``, ``nat-discrete`` and ``trunc``), the
+additive integers, the positive naturals under multiplication, the
+rational grid and the words.  A family holds its unit, product,
+decomposition candidates, window test, tail bounds, the element a bare
+``T`` denotes and its list kernel for products of two infinite series.
+
 Descriptor admission is a rule table of its own; that it agrees with the
 order-theoretic classification (admitted iff artinian and narrow) is a
 tested invariant, not a definition, so the two routes stay independent.
@@ -21,16 +29,17 @@ tested invariant, not a definition, so the two routes stay independent.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
+from itertools import repeat
 
 from .catalog import (ALL, All, Carrier, Descriptor, FiniteSet, FreeWords,
                       GridTail, IntDiscrete, IntUsual, NatDiscrete, NatUsual,
                       PosNatDivisibility, PosNatMulUsual, RationalGrid,
-                      TailGE, Truncated, _check_region, finite)
+                      TailGE, Truncated, _check_region, carrier_from_spec, finite)
 from .errors import CarrierError, DescriptorError
 
 
@@ -64,6 +73,14 @@ class Monoid:
         """``mul`` of two elements already checked: the trusted kernel that
         table convolution runs per key pair."""
         raise NotImplementedError
+
+    # the element a bare ``T`` denotes in expressions, if there is one
+    generator = None
+
+    def list_kernel(self, points):
+        """The list kernel for a product of two infinite series at ``points``,
+        or None: then each point sums its ``decompose_within`` fiber."""
+        return None
 
     def sort_key(self, x):
         raise NotImplementedError
@@ -134,6 +151,30 @@ class Monoid:
 
 
 # ---------------------------------------------------------------------------
+# list kernels: kernel(f, g, ks, add, mul, zero) is the product of the value
+# lists f and g at each k in ks
+
+
+def _cauchy(f: list, g: list, ks, add, mul, zero) -> list:
+    """At each k, the sum of f[i] * g[k - i] over i <= k: products on nat and trunc."""
+    rg = g[::-1]
+    top = len(f) - 1
+    # plain ints take sum's fast path; other rings fold with their own add
+    total = sum if add is operator.add else (lambda terms: reduce(add, terms, zero))
+    return [total(map(mul, f[:k + 1], rg[top - k:])) for k in ks]
+
+
+def _sieve(f: list, g: list, ks, add, mul, zero) -> list:
+    """At each k, the sum of f[d] * g[k / d] over d | k: Dirichlet products; index
+    0 is unused."""
+    top = len(f) - 1
+    out = [zero] * (top + 1)
+    for d in range(1, top + 1):
+        out[d::d] = map(add, out[d::d], map(mul, repeat(f[d]), g[1:top // d + 1]))
+    return [out[k] for k in ks]
+
+
+# ---------------------------------------------------------------------------
 # catalog monoids
 
 
@@ -151,40 +192,14 @@ def _divisors(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class CatalogMonoid(Monoid):
-    """One of the nine catalog carriers with its standard (partial) product."""
+    """A catalog carrier with its standard (partial) product: the base of
+    the product families below, holding what they share.  Build instances
+    with the factories (``nat()``, ...) or ``monoid_from_spec``."""
 
     carrier: Carrier
 
     def is_element(self, x):
         return self.carrier.is_element(x)
-
-    @property
-    def unit(self):
-        c = self.carrier
-        if isinstance(c, (NatUsual, NatDiscrete, IntUsual, IntDiscrete, Truncated)):
-            return 0
-        if isinstance(c, (PosNatMulUsual, PosNatDivisibility)):
-            return 1
-        if isinstance(c, RationalGrid):
-            return Fraction(0)
-        if isinstance(c, FreeWords):
-            return ""
-        raise CarrierError(f"no monoid structure on {c!r}")
-
-    @functools.cached_property
-    def product(self):
-        # picked once per monoid, so a product walks no isinstance chain
-        c = self.carrier
-        if isinstance(c, Truncated):
-            n = c.n
-            return lambda a, b: a + b if a + b <= n else None
-        if isinstance(c, (NatUsual, NatDiscrete, IntUsual, IntDiscrete, FreeWords)):
-            return operator.add
-        if isinstance(c, (PosNatMulUsual, PosNatDivisibility)):
-            return operator.mul
-        if isinstance(c, RationalGrid):
-            return lambda a, b: Fraction(a) + Fraction(b)
-        raise CarrierError(f"no monoid structure on {c!r}")
 
     def sort_key(self, x):
         return self.carrier.sort_key(x)
@@ -196,48 +211,137 @@ class CatalogMonoid(Monoid):
         return self.carrier.name
 
     def admits(self, desc):
-        c = self.carrier
         if isinstance(desc, FiniteSet):
             return all(self.is_element(e) for e in desc.elements)
-        if isinstance(desc, All):
-            return isinstance(c, (NatUsual, PosNatMulUsual, FreeWords, Truncated))
-        if isinstance(desc, GridTail):
-            return isinstance(c, RationalGrid)
-        if isinstance(desc, TailGE):
-            return isinstance(c, IntUsual)
-        return False
+        return type(desc) is _INFINITE_KIND.get(type(self.carrier))
 
-    # -- decomposition candidates -------------------------------------------
+    # -- support bounds -------------------------------------------------------
+
+    def mul_bound(self, s, t):
+        self.require_admitted(s)
+        self.require_admitted(t)
+        if isinstance(s, FiniteSet) and isinstance(t, FiniteSet):
+            image = {self.mul(x, y) for x in s.elements for y in t.elements}
+            image.discard(None)
+            return FiniteSet(frozenset(image))
+        return self._tail_mul_bound(s, t)
+
+    def union_bound(self, s, t):
+        self.require_admitted(s)
+        self.require_admitted(t)
+        if isinstance(s, FiniteSet) and isinstance(t, FiniteSet):
+            return FiniteSet(s.elements | t.elements)
+        return self._tail_union_bound(s, t)
+
+    # the bounds with an infinite operand; ALL is the only infinite
+    # descriptor that a family without tails admits
+    def _tail_mul_bound(self, s, t):
+        return ALL
+
+    def _tail_union_bound(self, s, t):
+        return ALL
+
+    # -- enumeration -----------------------------------------------------------
+
+    def enumerate_desc(self, desc, region):
+        self.require_admitted(desc)
+        _check_region(region)
+        if isinstance(desc, FiniteSet):
+            return sorted((x for x in desc.elements if self._in_window(x, region)),
+                          key=self.sort_key)
+        if isinstance(desc, All):
+            return self.window(region)
+        return self._tail_window(desc, region)
+
+    def _in_window(self, x, region):  # numbers; the naturals lie above -region
+        return -region <= x <= region
+
+    def window(self, region):
+        return self.carrier.window(region)
+
+
+class _NatMonoid(CatalogMonoid):
+    """The naturals under addition: ``nat`` and ``nat-discrete``."""
+
+    unit = 0
+    generator = 1
+    product = staticmethod(operator.add)
 
     def _candidates(self, m, s, t):
-        c = self.carrier
-        if isinstance(c, (NatUsual, NatDiscrete, Truncated)):
-            # over a finite side; its elements above m are no factors of m
-            if isinstance(s, FiniteSet):
-                return [(x, m - x) for x in s.elements if x <= m]
-            if isinstance(t, FiniteSet):
-                return [(m - y, y) for y in t.elements if y <= m]
-            return [(i, m - i) for i in range(m + 1)]
-        if isinstance(c, (IntUsual, IntDiscrete)):
-            if isinstance(s, FiniteSet):
-                return [(x, m - x) for x in s.elements]
-            if isinstance(t, FiniteSet):
-                return [(m - y, y) for y in t.elements]
-            # two tails: m1 >= s.a and m2 = m - m1 >= t.a bound the scan
-            return [(i, m - i) for i in range(s.a, m - t.a + 1)]
-        if isinstance(c, (PosNatMulUsual, PosNatDivisibility)):
-            return [(d, m // d) for d in _divisors(m)]
-        if isinstance(c, RationalGrid):
-            if isinstance(s, FiniteSet):
-                return [(x, Fraction(m) - Fraction(x)) for x in s.elements]
-            if isinstance(t, FiniteSet):
-                return [(Fraction(m) - Fraction(y), y) for y in t.elements]
-            return self._grid_candidates(m, s, t)
-        if isinstance(c, FreeWords):
-            return [(m[:k], m[k:]) for k in range(len(m) + 1)]
-        raise CarrierError(f"no monoid structure on {c!r}")
+        # over a finite side; its elements above m are no factors of m
+        if isinstance(s, FiniteSet):
+            return [(x, m - x) for x in s.elements if x <= m]
+        if isinstance(t, FiniteSet):
+            return [(m - y, y) for y in t.elements if y <= m]
+        return [(i, m - i) for i in range(m + 1)]
 
-    def _grid_candidates(self, m, s: GridTail, t: GridTail):
+    def list_kernel(self, points):
+        return _cauchy
+
+
+class _TruncMonoid(_NatMonoid):
+    """``trunc``: {0..n} with addition undefined past n."""
+
+    def product(self, a, b):
+        return a + b if a + b <= self.carrier.n else None
+
+
+class _IntMonoid(CatalogMonoid):
+    """The integers under addition: ``int`` and ``int-discrete``."""
+
+    unit = 0
+    generator = 1
+    product = staticmethod(operator.add)
+
+    def _candidates(self, m, s, t):
+        if isinstance(s, FiniteSet):
+            return [(x, m - x) for x in s.elements]
+        if isinstance(t, FiniteSet):
+            return [(m - y, y) for y in t.elements]
+        # two tails: m1 >= s.a and m2 = m - m1 >= t.a bound the scan
+        return [(i, m - i) for i in range(s.a, m - t.a + 1)]
+
+    def _tail_mul_bound(self, s, t):
+        lo_s, lo_t = _lowest(s), _lowest(t)
+        return finite() if lo_s is None or lo_t is None else TailGE(lo_s + lo_t)
+
+    def _tail_union_bound(self, s, t):
+        return TailGE(min(lo for lo in (_lowest(s), _lowest(t)) if lo is not None))
+
+    def _tail_window(self, desc, region):
+        return list(range(max(desc.a, -region), region + 1))
+
+
+class _PosNatMonoid(CatalogMonoid):
+    """The positive naturals under multiplication: ``posnat-mul`` and
+    ``posnat-div``."""
+
+    unit = 1
+    product = staticmethod(operator.mul)
+
+    def _candidates(self, m, s, t):
+        return [(d, m // d) for d in _divisors(m)]
+
+    def list_kernel(self, points):
+        # a whole window 1..N; a single query sums its divisor pairs
+        return _sieve if len(points) == max(points) else None
+
+
+class _GridMonoid(CatalogMonoid):
+    """The rationals under addition: ``rational-grid``, Puiseux exponents."""
+
+    unit = Fraction(0)
+    generator = Fraction(1)
+
+    @staticmethod
+    def product(a, b):
+        return Fraction(a) + Fraction(b)
+
+    def _candidates(self, m, s, t):
+        if isinstance(s, FiniteSet):
+            return [(x, Fraction(m) - Fraction(x)) for x in s.elements]
+        if isinstance(t, FiniteSet):
+            return [(Fraction(m) - Fraction(y), y) for y in t.elements]
         # Writing the target as c/p, a pair (i/n, j/mm) sums to it exactly
         # when i*mm*p + j*n*p = n*mm*c; with j >= b this pins i into the
         # interval a <= i <= (n*mm*c - b*n*p) / (mm*p), and each i admits at
@@ -254,121 +358,68 @@ class CatalogMonoid(Monoid):
                 out.append((Fraction(i, n), Fraction(j.numerator, mm)))
         return out
 
-    # -- support bounds -------------------------------------------------------
-
-    def mul_bound(self, s, t):
-        self.require_admitted(s)
-        self.require_admitted(t)
-        if isinstance(s, FiniteSet) and isinstance(t, FiniteSet):
-            image = {self.mul(x, y) for x in s.elements for y in t.elements}
-            image.discard(None)
-            return FiniteSet(frozenset(image))
-        c = self.carrier
-        if isinstance(c, IntUsual):
-            lo_s = s.a if isinstance(s, TailGE) else _min_or_none(s.elements)
-            lo_t = t.a if isinstance(t, TailGE) else _min_or_none(t.elements)
-            if lo_s is None or lo_t is None:
-                return finite()
-            return TailGE(lo_s + lo_t)
-        if isinstance(c, RationalGrid):
-            return self._grid_mul_bound(s, t)
-        return ALL
-
-    def _grid_mul_bound(self, s, t):
-        if isinstance(s, FiniteSet):
-            if not s.elements:
-                return finite()
-            return _fold_union(self._shift_tail(x, t) for x in s.elements)
+    def _tail_mul_bound(self, s, t):
         if isinstance(t, FiniteSet):
-            if not t.elements:
-                return finite()
-            return _fold_union(self._shift_tail(y, s) for y in t.elements)
+            s, t = t, s  # the product commutes
+        if isinstance(s, FiniteSet):
+            shifted = [_shift_tail(x, t) for x in s.elements]
+            return reduce(_merge_tails, shifted) if shifted else finite()
         # two tails: {i/n + j/m} lands in the tail of the product grid
         return GridTail(s.a * t.n + t.a * s.n, s.n * t.n)
 
-    def _shift_tail(self, x, tail: GridTail) -> GridTail:
-        q = Fraction(x)
-        g = math.lcm(q.denominator, tail.n)
-        offset = q.numerator * (g // q.denominator) + tail.a * (g // tail.n)
-        return GridTail(offset, g)
+    def _tail_union_bound(self, s, t):
+        tails = [d for d in (s, t) if isinstance(d, GridTail)]
+        # the tail from x is the naturals shifted by x
+        points = [_shift_tail(x, GridTail(0, 1)) for d in (s, t) if isinstance(d, FiniteSet)
+                  for x in d.elements]
+        return reduce(_merge_tails, tails + points)
 
-    def union_bound(self, s, t):
-        self.require_admitted(s)
-        self.require_admitted(t)
-        if isinstance(s, FiniteSet) and isinstance(t, FiniteSet):
-            return FiniteSet(s.elements | t.elements)
-        if isinstance(s, All) or isinstance(t, All):
-            return ALL
-        c = self.carrier
-        if isinstance(c, IntUsual):
-            los = [d.a if isinstance(d, TailGE) else _min_or_none(d.elements) for d in (s, t)]
-            los = [v for v in los if v is not None]
-            return TailGE(min(los))
-        if isinstance(c, RationalGrid):
-            tails = [d for d in (s, t) if isinstance(d, GridTail)]
-            acc = tails[0]
-            for other in tails[1:]:
-                acc = _merge_tails(acc, other)
-            for d in (s, t):
-                if isinstance(d, FiniteSet):
-                    for x in d.elements:
-                        acc = _merge_tails(acc, _point_tail(x))
-            return acc
-        raise DescriptorError(f"cannot union {s!r} and {t!r} on {c.name}")
+    def _tail_window(self, desc, region):
+        lo = max(desc.a, -region * desc.n)
+        return [Fraction(i, desc.n) for i in range(lo, region * desc.n + 1)]
 
-    # -- enumeration -----------------------------------------------------------
 
-    def enumerate_desc(self, desc, region):
-        self.require_admitted(desc)
-        _check_region(region)
-        if isinstance(desc, FiniteSet):
-            return sorted((x for x in desc.elements if self._in_window(x, region)),
-                          key=self.sort_key)
-        if isinstance(desc, All):
-            return self.window(region)
-        if isinstance(desc, GridTail):
-            lo = max(desc.a, -region * desc.n)
-            out = []
-            i = lo
-            while Fraction(i, desc.n) <= region:
-                out.append(Fraction(i, desc.n))
-                i += 1
-            return out
-        if isinstance(desc, TailGE):
-            return list(range(max(desc.a, -region), region + 1))
-        raise DescriptorError(f"unknown descriptor {desc!r}")
+class _WordMonoid(CatalogMonoid):
+    """Words under concatenation: ``free-words``, noncommutative series."""
+
+    unit = ""
+    product = staticmethod(operator.add)
+
+    def _candidates(self, m, s, t):
+        return [(m[:k], m[k:]) for k in range(len(m) + 1)]
 
     def _in_window(self, x, region):
-        c = self.carrier
-        if isinstance(c, FreeWords):
-            return len(x) <= region
-        if isinstance(c, (IntUsual, IntDiscrete, RationalGrid)):
-            return -region <= x <= region
-        return x <= region
-
-    def window(self, region):
-        return self.carrier.window(region)
+        return len(x) <= region
 
 
-def _min_or_none(elements):
-    return min(elements) if elements else None
+# Descriptor admission: finite sets on every carrier, plus at most one
+# infinite kind per carrier.  Kept apart from the order classification in
+# ``posets``; that the two agree is tested.
+_INFINITE_KIND = {NatUsual: All, PosNatMulUsual: All, FreeWords: All, Truncated: All,
+                  IntUsual: TailGE, RationalGrid: GridTail}
+
+# the product family of each carrier
+_FAMILY = {NatUsual: _NatMonoid, NatDiscrete: _NatMonoid, Truncated: _TruncMonoid,
+           IntUsual: _IntMonoid, IntDiscrete: _IntMonoid,
+           PosNatMulUsual: _PosNatMonoid, PosNatDivisibility: _PosNatMonoid,
+           RationalGrid: _GridMonoid, FreeWords: _WordMonoid}
 
 
-def _point_tail(x) -> GridTail:
+def _shift_tail(x, tail: GridTail) -> GridTail:
     q = Fraction(x)
-    return GridTail(q.numerator, q.denominator)
+    g = math.lcm(q.denominator, tail.n)
+    offset = q.numerator * (g // q.denominator) + tail.a * (g // tail.n)
+    return GridTail(offset, g)
+
+
+def _lowest(desc):
+    """The least member of an integer descriptor, None if it is empty."""
+    return desc.a if isinstance(desc, TailGE) else min(desc.elements, default=None)
 
 
 def _merge_tails(s: GridTail, t: GridTail) -> GridTail:
     g = math.lcm(s.n, t.n)
     return GridTail(min(s.a * (g // s.n), t.a * (g // t.n)), g)
-
-
-def _fold_union(tails) -> GridTail:
-    acc = None
-    for tail in tails:
-        acc = tail if acc is None else _merge_tails(acc, tail)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -435,53 +486,54 @@ class TableMonoid(Monoid):
 # factories
 
 
+# cached: the expression builtins compare against nat() and posnat_mul()
+@cache
 def nat() -> CatalogMonoid:
     """Naturals under addition, usual order: ordinary power series."""
-    return CatalogMonoid(NatUsual())
+    return _NatMonoid(NatUsual())
 
 
 def nat_discrete() -> CatalogMonoid:
     """Naturals under addition, discrete order: polynomials."""
-    return CatalogMonoid(NatDiscrete())
+    return _NatMonoid(NatDiscrete())
 
 
 def integers() -> CatalogMonoid:
     """Integers under addition, usual order: Laurent series."""
-    return CatalogMonoid(IntUsual())
+    return _IntMonoid(IntUsual())
 
 
 def integers_discrete() -> CatalogMonoid:
     """Integers under addition, discrete order: Laurent polynomials."""
-    return CatalogMonoid(IntDiscrete())
+    return _IntMonoid(IntDiscrete())
 
 
+@cache
 def posnat_mul() -> CatalogMonoid:
     """Positive naturals under multiplication, usual order: arithmetic
     functions with Dirichlet convolution."""
-    return CatalogMonoid(PosNatMulUsual())
+    return _PosNatMonoid(PosNatMulUsual())
 
 
 def posnat_div() -> CatalogMonoid:
     """Positive naturals under multiplication, divisibility order: a proper
     subring of the arithmetic functions (finite supports only)."""
-    return CatalogMonoid(PosNatDivisibility())
+    return _PosNatMonoid(PosNatDivisibility())
 
 
 def rational_grid() -> CatalogMonoid:
     """Rationals under addition: Puiseux series on fixed-denominator tails."""
-    return CatalogMonoid(RationalGrid())
+    return _GridMonoid(RationalGrid())
 
 
 def free_words(alphabet) -> CatalogMonoid:
     """The free monoid on an alphabet: noncommutative formal power series."""
-    if isinstance(alphabet, str):
-        alphabet = tuple(alphabet)
-    return CatalogMonoid(FreeWords(tuple(alphabet)))
+    return _WordMonoid(FreeWords(tuple(alphabet)))  # a string is its symbols
 
 
 def truncated(n: int) -> CatalogMonoid:
     """{0..n} with addition undefined past n: polynomials of degree <= n."""
-    return CatalogMonoid(Truncated(n))
+    return _TruncMonoid(Truncated(n))
 
 
 def catalog_monoids(trunc_degree: int = 4, alphabet=("x", "y")) -> list[CatalogMonoid]:
@@ -494,5 +546,5 @@ def catalog_monoids(trunc_degree: int = 4, alphabet=("x", "y")) -> list[CatalogM
 
 
 def monoid_from_spec(spec) -> CatalogMonoid:
-    from .catalog import carrier_from_spec
-    return CatalogMonoid(carrier_from_spec(spec))
+    carrier = carrier_from_spec(spec)
+    return _FAMILY[type(carrier)](carrier)

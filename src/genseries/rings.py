@@ -351,9 +351,3 @@ def ring_from_spec(spec) -> Ring:
     if isinstance(spec, dict) and set(spec) == {"mod"}:
         return ModRing(spec["mod"])
     raise InputError(f"bad ring spec {spec!r}")
-
-
-def ring_to_spec(ring: Ring):
-    if isinstance(ring, ModRing):
-        return {"mod": ring.modulus}
-    return ring.name

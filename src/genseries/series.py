@@ -16,7 +16,8 @@ with factors multiplied as f-value times g-value (safe for noncommutative
 coefficient rings) and the summation following the canonical pair order,
 so renders and tests are reproducible.  Extensional equality of lazy
 series is undecidable; the honest surrogate is ``agree_on``, which
-compares coefficients over every carrier element in a finite window.
+compares coefficients at the support elements in a finite window, the
+points ``render`` shows (outside a support every coefficient is zero).
 
 Every series records how it was built: a finite table, a leaf function,
 or ``add``/``neg``/``mul`` of other series.  A finite series holds its
@@ -27,11 +28,12 @@ table's keys.  All other coefficients come from one evaluator,
 and ``render``), ``agree_on`` and ``is_zero_on``.  It walks the build
 record iteratively, so chain depth costs no stack, and it asks each
 operand only for the points its parents need: a product needs its factors
-on the fibers of its points.  On ``nat`` and ``trunc`` a product of two
-infinite factors is a Cauchy product over lists, one dot product per
-point; on ``posnat-mul`` a whole window is a Dirichlet sieve, while a
-single query sums its divisor pairs; everywhere else fibers come from
-``decompose_within``.  Each series keeps its values in its memo, so
+on the fibers of its points.  The monoid's family picks how a product of
+two infinite factors is computed (``Monoid.list_kernel``): a Cauchy
+product over lists on the additive naturals, one dot product per point,
+and a Dirichlet sieve for a whole window on the positive naturals, while
+a single query there sums its divisor pairs; everywhere else fibers come
+from ``decompose_within``.  Each series keeps its values in its memo, so
 repeated queries reuse work below the root, and leaves are read only at
 members of their support, once each.
 
@@ -44,11 +46,8 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import reduce
-from itertools import repeat
 
-from .catalog import (ALL, All, FiniteSet, NatUsual, PosNatMulUsual, Truncated,
-                      finite)
+from .catalog import ALL, All, FiniteSet, finite
 from .errors import InputError, SizeBoundError
 from .monoids import Monoid, nat, posnat_mul
 from .rings import IntRing, RationalRing, Ring
@@ -79,13 +78,17 @@ class GenSeries:
         return _evaluate(self, (m,))[0]
 
     def agree_on(self, other: "GenSeries", region: int) -> bool:
-        """Coefficientwise equality over every carrier element in the window."""
+        """Coefficientwise equality on the window: at every support element
+        of either series that ``render`` would show."""
         _check_compatible(self, other)
-        points = self.monoid.window(region)
-        return all(map(self.ring.eq, _evaluate(self, points), _evaluate(other, points)))
+        mine, theirs = self.window_coeffs(region), other.window_coeffs(region)
+        zero = self.ring.zero
+        return all(self.ring.eq(mine.get(m, zero), theirs.get(m, zero))
+                   for m in mine.keys() | theirs.keys())
 
     def is_zero_on(self, region: int) -> bool:
-        return all(map(self.ring.is_zero, _evaluate(self, self.monoid.window(region))))
+        """Are the coefficients ``render`` would show all zero?"""
+        return all(map(self.ring.is_zero, self.window_coeffs(region).values()))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -222,7 +225,8 @@ def _evaluate(root: GenSeries, points) -> list:
                 demand(f, wanted)
             continue
         f, g = operands
-        kernel = _kernel(monoid, f, g, wanted)
+        # the monoid's list kernel applies to two infinite factors only
+        kernel = None if _is_finite(f) or _is_finite(g) else monoid.list_kernel(wanted)
         if kernel is None:
             fibers = plans[node] = {m: monoid.decompose_within(m, f.support, g.support)
                                     for m in wanted}
@@ -271,18 +275,6 @@ def _evaluate(root: GenSeries, points) -> list:
     return [memo.get(m, zero) for m in points]
 
 
-def _kernel(monoid: Monoid, f: GenSeries, g: GenSeries, wanted: set):
-    """The list kernel for a product of two infinite factors, where one applies."""
-    if _is_finite(f) or _is_finite(g):
-        return None
-    carrier = getattr(monoid, "carrier", None)
-    if isinstance(carrier, (NatUsual, Truncated)):
-        return _cauchy
-    if isinstance(carrier, PosNatMulUsual) and len(wanted) == max(wanted):
-        return _sieve  # a whole window; a single query sums its divisor pairs
-    return None
-
-
 def _products(kernel, ring: Ring, f: list, g: list, ks: list) -> list:
     """The kernel's values at ks, on plain ints where the ring allows."""
     if isinstance(ring, IntRing):
@@ -311,25 +303,6 @@ def _convolve(monoid: Monoid, ring: Ring, f: dict, g: dict) -> dict:
                 c = ring.mul(a, b)
                 out[m] = ring.add(out[m], c) if m in out else c
     return out
-
-
-def _cauchy(f: list, g: list, ks, add, mul, zero) -> list:
-    """At each k, the sum of f[i] * g[k - i] over i <= k: products on nat and trunc."""
-    rg = g[::-1]
-    top = len(f) - 1
-    # plain ints take sum's fast path; other rings fold with their own add
-    total = sum if add is operator.add else (lambda terms: reduce(add, terms, zero))
-    return [total(map(mul, f[:k + 1], rg[top - k:])) for k in ks]
-
-
-def _sieve(f: list, g: list, ks, add, mul, zero) -> list:
-    """At each k, the sum of f[d] * g[k / d] over d | k: Dirichlet products; index
-    0 is unused."""
-    top = len(f) - 1
-    out = [zero] * (top + 1)
-    for d in range(1, top + 1):
-        out[d::d] = map(add, out[d::d], map(mul, repeat(f[d]), g[1:top // d + 1]))
-    return [out[k] for k in ks]
 
 
 # ---------------------------------------------------------------------------

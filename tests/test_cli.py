@@ -306,6 +306,40 @@ def test_builtin_on_wrong_carrier(capsys):
     assert code == 1 and "naturals" in err
 
 
+_NO_GENERATOR = "error: carrier {!r} has no default generator; write T^<element>\n"
+_NOT_NAT = "error: geometric is a series over the naturals\n"
+_NOT_POSNAT = "error: {} is an arithmetic function (posnat-mul carrier)\n"
+
+
+@pytest.mark.parametrize("monoid,expr,code,out,err", [
+    ("nat", "T + 1", 0, "1 + 1·T^1\n", ""),
+    ("nat-discrete", "T + 1", 0, "1 + 1·T^1\n", ""),
+    ("int", "T + 1", 0, "1 + 1·T^1\n", ""),
+    ("int-discrete", "T + 1", 0, "1 + 1·T^1\n", ""),
+    ("posnat-mul", "T + 1", 1, "", _NO_GENERATOR.format("posnat-mul")),
+    ("posnat-div", "T + 1", 1, "", _NO_GENERATOR.format("posnat-div")),
+    ("rational-grid", "T + 1", 0, "1 + 1·T^1\n", ""),
+    ('{"words": ["x", "y"]}', "T + 1", 1, "", _NO_GENERATOR.format("free-words")),
+    ('{"trunc": 3}', "T + 1", 0, "1 + 1·T^1\n", ""),
+    ('{"trunc": 0}', "T + 1", 1, "", "error: 1 is not an element of truncated\n"),
+    ("nat-discrete", "geometric", 1, "", _NOT_NAT),
+    ('{"trunc": 3}', "geometric", 1, "", _NOT_NAT),
+    ("posnat-mul", "geometric", 1, "", _NOT_NAT),
+    ("posnat-div", "zeta", 1, "", _NOT_POSNAT.format("zeta")),
+    ("nat", "zeta", 1, "", _NOT_POSNAT.format("zeta")),
+    ('{"words": ["x", "y"]}', "zeta", 1, "", _NOT_POSNAT.format("zeta")),
+    ("posnat-div", "moebius", 1, "", _NOT_POSNAT.format("moebius")),
+    ("nat", "moebius", 1, "", _NOT_POSNAT.format("moebius")),
+    ('{"words": ["x", "y"]}', "moebius", 1, "", _NOT_POSNAT.format("moebius")),
+])
+def test_default_generator_and_builtin_carriers_are_pinned(capsys, monoid, expr, code, out,
+                                                           err):
+    """The element a bare ``T`` denotes on each carrier, and the exact refusal
+    of a builtin named on a carrier it does not live on."""
+    assert run_cli(capsys, "series-eval", "--monoid", monoid, "--ring", "int",
+                   "--expr", expr, "--window", "2") == (code, out, err)
+
+
 def assert_refused(result):
     code, out, err = result
     assert code == 1 and out == ""

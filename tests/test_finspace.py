@@ -1,5 +1,9 @@
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +31,25 @@ def pfn(dom, cod, mapping):
 def test_perp_on_finite_carrier_is_full_powerset():
     s = system(["a", "b"], [["a"]])
     assert len(perp(s).family) == 4
+
+
+def test_family_order_is_independent_of_the_hash_seed():
+    """Members sort by their sorted label keys; under string hashing a
+    frozenset's repr lists its labels in a per-process order."""
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(repo / "src"), os.environ.get("PYTHONPATH", "")])
+    family = ("from genseries.finspace import full_system; "
+              "print([sorted(u) for u in full_system(['a', 'b', 'c']).family])")
+    runs = {}
+    for seed in ("0", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        runs[seed] = [subprocess.run(argv, capture_output=True, text=True, cwd=repo, env=env,
+                                     check=True).stdout
+                      for argv in ([sys.executable, "-c", family],
+                                   [sys.executable, "demos/category_checker.py"])]
+    assert runs["0"] == runs["2"]
+    assert runs["0"][0] == ("[[], ['a'], ['a', 'b'], ['a', 'b', 'c'], ['a', 'c'], ['b'], "
+                            "['b', 'c'], ['c']]\n")
 
 
 def test_perp_of_empty_carrier():

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from genseries import (ALL, FinitePomonoid, FinitePoset, GridTail, InputError,
-                       IntRing, Mat2Ring, SizeBoundError, finite, free_words,
-                       from_function, from_terms, geometric, integers,
+                       IntRing, Mat2Ring, RationalRing, SizeBoundError, finite,
+                       free_words, from_function, from_terms, geometric, integers,
                        moebius, nat, posnat_mul, rational_grid, truncated,
                        unit_series, zero_series, zeta)
 
@@ -208,6 +208,20 @@ def test_coeff_validates_elements():
 def test_agree_on_is_reflexive():
     g = geometric(R)
     assert g.agree_on(g, 10)
+
+
+def test_agree_on_and_is_zero_on_see_the_points_render_shows():
+    # 1/7 has a denominator above the window, yet render shows it
+    grid, Q = rational_grid(), RationalRing()
+    f = from_terms(grid, Q, [(Fraction(1, 7), 1)])
+    zero = zero_series(grid, Q)
+    assert f.render(3) == "1·T^(1/7)"
+    assert not f.is_zero_on(3)
+    assert not f.agree_on(zero, 3) and not zero.agree_on(f, 3)
+    tail = from_function(grid, Q, GridTail(1, 7), lambda q: Fraction(1))
+    assert not tail.is_zero_on(1) and not tail.agree_on(zero, 1)
+    assert tail.agree_on(tail + zero, 1) and (tail - tail).is_zero_on(1)
+    assert f.agree_on(f + zero, 3) and not f.agree_on(-f, 3)
 
 
 # ---------------------------------------------------------------------------
