@@ -15,6 +15,10 @@ Support descriptors are symbolic over-approximations of a series support:
   artinian and narrow;
 * ``GridTail(a, n)`` -- the rationals ``{i/n : i >= a}`` (Puiseux tails);
 * ``TailGE(a)``      -- the integers ``{i : i >= a}`` (Laurent tails).
+
+Each descriptor answers ``x in desc`` for elements x of a carrier that
+admits it, and checks nothing itself: ``Monoid.member`` adds the element
+check, and the series evaluator asks ``in`` of points it has checked.
 """
 
 from __future__ import annotations
@@ -32,10 +36,14 @@ from .errors import CarrierError, DescriptorError, InputError
 class FiniteSet:
     elements: frozenset
 
+    def __contains__(self, x):
+        return x in self.elements
+
 
 @dataclass(frozen=True)
 class All:
-    pass
+    def __contains__(self, x):
+        return True
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,10 @@ class GridTail:
         if not _is_int(self.a) or not _is_int(self.n) or self.n < 1:
             raise DescriptorError("grid tail needs integer offset and denominator >= 1")
 
+    def __contains__(self, x):
+        scaled = Fraction(x) * self.n
+        return scaled.denominator == 1 and scaled.numerator >= self.a
+
 
 @dataclass(frozen=True)
 class TailGE:
@@ -59,6 +71,9 @@ class TailGE:
     def __post_init__(self):
         if not _is_int(self.a):
             raise DescriptorError("integer tail needs an integer offset")
+
+    def __contains__(self, x):
+        return x >= self.a
 
 
 Descriptor = FiniteSet | All | GridTail | TailGE
@@ -358,7 +373,11 @@ def carrier_from_spec(spec) -> Carrier:
         if set(spec) == {"trunc"}:
             return Truncated(spec["trunc"])
         if set(spec) == {"words"}:
-            return FreeWords(tuple(spec["words"]))  # a string is its symbols
+            symbols = spec["words"]  # a string is its symbols
+            if not (isinstance(symbols, (str, list))
+                    and all(isinstance(x, str) for x in symbols)):
+                raise InputError('carrier {"words": ...} needs a string or a list of symbols')
+            return FreeWords(tuple(symbols))
     raise InputError(f"bad carrier spec {spec!r}")
 
 

@@ -286,10 +286,9 @@ def _terms_from_json(monoid, ring, terms):
     return from_terms(monoid, ring, decoded)
 
 
-def cmd_series_eval(args) -> int:
-    blob = _load_input(args)
-    monoid = monoid_from_spec(_parse_json_flag(_field(args, blob, "monoid", "monoid")))
-    ring = ring_from_spec(_parse_json_flag(_field(args, blob, "ring", "ring")))
+def _show_series(args, blob, monoid, ring, extra=lambda series: {}) -> int:
+    """Build the series from --expr or "terms" and print it on the window;
+    ``extra`` adds fields to the JSON payload."""
     window = _as_int(_field(args, blob, "window", "window"), "window")
     terms = blob.get("terms")
     expr = _field(args, blob, "expr", "expr", required=terms is None)
@@ -298,10 +297,17 @@ def cmd_series_eval(args) -> int:
     else:
         series = _terms_from_json(monoid, ring, terms)
     if args.format == "json":
-        _emit_json(_series_payload(series, monoid, ring, window))
+        _emit_json(_series_payload(series, monoid, ring, window) | extra(series))
     else:
         print(series.render(window))
     return 0
+
+
+def cmd_series_eval(args) -> int:
+    blob = _load_input(args)
+    monoid = monoid_from_spec(_parse_json_flag(_field(args, blob, "monoid", "monoid")))
+    ring = ring_from_spec(_parse_json_flag(_field(args, blob, "ring", "ring")))
+    return _show_series(args, blob, monoid, ring)
 
 
 def cmd_dirichlet(args) -> int:
@@ -328,20 +334,8 @@ def cmd_puiseux(args) -> int:
     monoid = rational_grid()
     spec = _field(args, blob, "ring", "ring", required=False) or "rational"
     ring = ring_from_spec(_parse_json_flag(spec))
-    window = _as_int(_field(args, blob, "window", "window"), "window")
-    terms = blob.get("terms")
-    expr = _field(args, blob, "expr", "expr", required=terms is None)
-    if expr is not None:
-        series = eval_expression(expr, monoid, ring, window)
-    else:
-        series = _terms_from_json(monoid, ring, terms)
-    if args.format == "json":
-        payload = _series_payload(series, monoid, ring, window)
-        payload["support"] = descriptor_to_json(monoid.carrier, series.support)
-        _emit_json(payload)
-    else:
-        print(series.render(window))
-    return 0
+    return _show_series(args, blob, monoid, ring, lambda series: {
+        "support": descriptor_to_json(monoid.carrier, series.support)})
 
 
 def cmd_classify(args) -> int:

@@ -25,6 +25,13 @@ decomposition candidates, window test, tail bounds, the element a bare
 Descriptor admission is a rule table of its own; that it agrees with the
 order-theoretic classification (admitted iff artinian and narrow) is a
 tested invariant, not a definition, so the two routes stay independent.
+
+The ``Monoid`` methods are the boundary: ``mul``, ``member``,
+``decompose_within`` and the bounds check their elements and admit their
+descriptors, once per call.  Inside them nothing is checked again:
+``product`` multiplies checked elements, and each family's
+``_candidates`` yields exact, distinct factorizations, which
+``decompose_within`` filters by the descriptors' own ``in``.
 """
 
 from __future__ import annotations
@@ -101,19 +108,9 @@ class Monoid:
             raise DescriptorError(f"descriptor {desc!r} is not admitted on {self.describe()}")
 
     def member(self, desc: Descriptor, x) -> bool:
-        """Is x a member of the described set?"""
+        """Is the element x a member of the described set?"""
         self.check_element(x)
-        if isinstance(desc, FiniteSet):
-            return x in desc.elements
-        if isinstance(desc, All):
-            return True
-        if isinstance(desc, GridTail):
-            q = Fraction(x)
-            scaled = q * desc.n
-            return scaled.denominator == 1 and scaled.numerator >= desc.a
-        if isinstance(desc, TailGE):
-            return x >= desc.a
-        raise DescriptorError(f"unknown descriptor {desc!r}")
+        return x in desc
 
     def decompose_within(self, m, s: Descriptor, t: Descriptor) -> list:
         """All pairs (m1, m2) with m1 in s, m2 in t and m1 * m2 = m.
@@ -124,15 +121,12 @@ class Monoid:
         self.require_admitted(s)
         self.require_admitted(t)
         self.check_element(m)
-        seen = {}
-        for m1, m2 in self._candidates(m, s, t):
-            if (m1, m2) in seen:
-                continue
-            if self.member(s, m1) and self.member(t, m2) and self.mul(m1, m2) == m:
-                seen[(m1, m2)] = True
-        return sorted(seen, key=lambda p: (self.sort_key(p[0]), self.sort_key(p[1])))
+        pairs = [(a, b) for a, b in self._candidates(m, s, t) if a in s and b in t]
+        return sorted(pairs, key=lambda p: (self.sort_key(p[0]), self.sort_key(p[1])))
 
     def _candidates(self, m, s, t):
+        """Distinct pairs of elements whose product is m, covering every such
+        pair in s x t; ``decompose_within`` keeps those in s x t."""
         raise NotImplementedError
 
     def mul_bound(self, s: Descriptor, t: Descriptor) -> Descriptor:
@@ -221,7 +215,7 @@ class CatalogMonoid(Monoid):
         self.require_admitted(s)
         self.require_admitted(t)
         if isinstance(s, FiniteSet) and isinstance(t, FiniteSet):
-            image = {self.mul(x, y) for x in s.elements for y in t.elements}
+            image = {self.product(x, y) for x in s.elements for y in t.elements}
             image.discard(None)
             return FiniteSet(frozenset(image))
         return self._tail_mul_bound(s, t)
@@ -462,12 +456,12 @@ class TableMonoid(Monoid):
         return isinstance(desc, FiniteSet) and all(self.is_element(e) for e in desc.elements)
 
     def _candidates(self, m, s, t):
-        return [(a, b) for a in self.labels for b in self.labels if self.mul(a, b) == m]
+        return [(a, b) for a in self.labels for b in self.labels if self.product(a, b) == m]
 
     def mul_bound(self, s, t):
         self.require_admitted(s)
         self.require_admitted(t)
-        return FiniteSet(frozenset(self.mul(x, y) for x in s.elements for y in t.elements))
+        return FiniteSet(frozenset(self.product(x, y) for x in s.elements for y in t.elements))
 
     def union_bound(self, s, t):
         self.require_admitted(s)

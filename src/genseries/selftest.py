@@ -3,7 +3,8 @@
 Each suite checks the same invariants the full pytest battery pins down,
 at a budget that keeps a self-test interactive.  Oracles here are written
 against enumeration-and-filter routes so they stay independent of the
-code paths they judge.
+code paths they judge.  The sample generators below are the ones the
+pytest suite draws from, so both batteries see the same kinds of data.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 from . import finspace
 from .catalog import ALL, FiniteSet, GridTail, TailGE, finite
-from .monoids import CatalogMonoid, catalog_monoids, nat, posnat_mul, rational_grid, truncated
+from .monoids import catalog_monoids, nat, posnat_mul, rational_grid, truncated
 from .posets import classify_subset
 from .rings import (IntRing, Mat2Ring, ModRing, RationalRing,
                     check_ring_axioms, find_noncommuting_pair)
@@ -22,7 +23,11 @@ from .series import from_function, from_terms, moebius, unit_series, zeta
 ALL_RINGS = [IntRing(), RationalRing(), ModRing(6), Mat2Ring()]
 
 
-def _ring_samples(ring, rng, count=4):
+# ---------------------------------------------------------------------------
+# sample generators
+
+
+def ring_samples(ring, rng, count=4):
     if isinstance(ring, Mat2Ring):
         return [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(count)]
     if isinstance(ring, ModRing):
@@ -32,20 +37,7 @@ def _ring_samples(ring, rng, count=4):
     return [rng.randint(-8, 8) for _ in range(count)]
 
 
-def _random_descriptor(monoid: CatalogMonoid, rng, size=3):
-    """A random admitted descriptor plus a window bound covering it."""
-    name = monoid.carrier.name
-    if name in ("nat", "posnat-mul", "free-words", "truncated") and rng.random() < 0.4:
-        return ALL
-    if name == "int" and rng.random() < 0.5:
-        return TailGE(rng.randint(-4, 2))
-    if name == "rational-grid" and rng.random() < 0.6:
-        return GridTail(rng.randint(-4, 3), rng.randint(1, 3))
-    pool = _element_pool(monoid, rng)
-    return finite(rng.sample(pool, min(size, len(pool))))
-
-
-def _element_pool(monoid: CatalogMonoid, rng):
+def element_pool(monoid):
     name = monoid.carrier.name
     if name in ("nat", "nat-discrete"):
         return list(range(0, 7))
@@ -60,21 +52,45 @@ def _element_pool(monoid: CatalogMonoid, rng):
     return monoid.window(10)
 
 
-def _random_element(monoid, rng):
-    return rng.choice(_element_pool(monoid, rng))
+def random_descriptor(monoid, rng, size=3):
+    name = monoid.carrier.name
+    if name in ("nat", "posnat-mul", "free-words", "truncated") and rng.random() < 0.4:
+        return ALL
+    if name == "int" and rng.random() < 0.5:
+        return TailGE(rng.randint(-4, 2))
+    if name == "rational-grid" and rng.random() < 0.6:
+        return GridTail(rng.randint(-3, 3), rng.randint(1, 3))
+    pool = element_pool(monoid)
+    return finite(rng.sample(pool, min(size, len(pool))))
 
 
-def _random_series(monoid, ring, rng, lazy_ok=True):
-    if lazy_ok and monoid.admits(ALL) and rng.random() < 0.3:
+def lazy_support(monoid, rng):
+    """An infinite admitted descriptor for the carrier, or None."""
+    name = monoid.carrier.name
+    if name == "int":
+        return TailGE(rng.randint(-3, 1))
+    if name == "rational-grid":
+        return GridTail(rng.randint(-3, 2), rng.randint(1, 3))
+    if monoid.admits(ALL):
+        return ALL
+    return None
+
+
+def random_series(monoid, ring, rng, lazy_ok=True):
+    """Either a small explicit series or, on carriers with an infinite
+    admitted descriptor, a lazy one with deterministic pseudo-random
+    coefficients."""
+    support = lazy_support(monoid, rng) if lazy_ok and rng.random() < 0.3 else None
+    if support is not None:
         seed = rng.randint(0, 10 ** 6)
 
         def fn(m, _seed=seed):
             return ring.from_int(random.Random(f"{_seed}/{m!r}").randint(-3, 3))
 
-        return from_function(monoid, ring, ALL, fn)
-    pool = _element_pool(monoid, rng)
+        return from_function(monoid, ring, support, fn)
+    pool = element_pool(monoid)
     picks = rng.sample(pool, min(rng.randint(0, 3), len(pool)))
-    coeffs = _ring_samples(ring, rng, len(picks))
+    coeffs = ring_samples(ring, rng, len(picks))
     return from_terms(monoid, ring, list(zip(picks, coeffs)))
 
 
@@ -114,7 +130,7 @@ def _lower(desc):
 def suite_ring_axioms(seed):
     rng = random.Random(seed)
     for ring in ALL_RINGS:
-        samples = _ring_samples(ring, rng, 4) + [ring.zero, ring.one]
+        samples = ring_samples(ring, rng, 4) + [ring.zero, ring.one]
         bad = check_ring_axioms(ring, samples)
         if bad:
             return f"{ring!r}: {bad[0]}"
@@ -174,9 +190,9 @@ def suite_decompose_oracle(seed):
     rng = random.Random(seed)
     for monoid in catalog_monoids():
         for _ in range(40):
-            s = _random_descriptor(monoid, rng)
-            t = _random_descriptor(monoid, rng)
-            m = _random_element(monoid, rng)
+            s = random_descriptor(monoid, rng)
+            t = random_descriptor(monoid, rng)
+            m = rng.choice(element_pool(monoid))
             window = _covering_window(monoid, m, s, t)
             got = monoid.decompose_within(m, s, t)
             want = _brute_decompose(monoid, m, s, t, window)
@@ -189,8 +205,8 @@ def suite_bounds(seed):
     rng = random.Random(seed)
     for monoid in catalog_monoids():
         for _ in range(25):
-            s = _random_descriptor(monoid, rng)
-            t = _random_descriptor(monoid, rng)
+            s = random_descriptor(monoid, rng)
+            t = random_descriptor(monoid, rng)
             bound = monoid.mul_bound(s, t)
             join = monoid.union_bound(s, t)
             window = 6
@@ -212,9 +228,9 @@ def suite_series_ring_axioms(seed):
     for monoid in catalog_monoids(trunc_degree=3):
         for ring in (IntRing(), ModRing(6)):
             for _ in range(6):
-                f = _random_series(monoid, ring, rng)
-                g = _random_series(monoid, ring, rng)
-                h = _random_series(monoid, ring, rng)
+                f = random_series(monoid, ring, rng)
+                g = random_series(monoid, ring, rng)
+                h = random_series(monoid, ring, rng)
                 w = 5 if monoid.carrier.name != "free-words" else 3
                 if not ((f * g) * h).agree_on(f * (g * h), w):
                     return f"associativity fails over {monoid.describe()}/{ring!r}"

@@ -37,6 +37,13 @@ from ``decompose_within``.  Each series keeps its values in its memo, so
 repeated queries reuse work below the root, and leaves are read only at
 members of their support, once each.
 
+Checks run at the boundary, not in the evaluator: ``from_terms`` checks
+every element and coefficient, ``from_function`` admits its support and
+``coeff`` checks its point.  ``add``, ``neg`` and ``mul`` take their
+supports from the monoid's bounds or from tables of library products, so
+the constructor admits nothing again, and the evaluator tests demanded
+points with the descriptor's own ``in``.
+
 Series may be shared across threads: the memo fill is idempotent, so
 concurrent queries can at worst duplicate work, never disagree.
 """
@@ -63,7 +70,6 @@ class GenSeries:
     __slots__ = ("monoid", "ring", "support", "_memo", "_build")
 
     def __init__(self, monoid: Monoid, ring: Ring, support, build, memo=None):
-        monoid.require_admitted(support)
         self.monoid = monoid
         self.ring = ring
         self.support = support
@@ -198,7 +204,7 @@ def _evaluate(root: GenSeries, points) -> list:
             return
         memo, support = node._memo, node.support
         anywhere = isinstance(support, All)
-        new = [p for p in pts if p not in memo and (anywhere or monoid.member(support, p))]
+        new = [p for p in pts if p not in memo and (anywhere or p in support)]
         if new:
             need.setdefault(node, set()).update(new)
 
@@ -338,8 +344,8 @@ def from_function(monoid: Monoid, ring: Ring, support, fn) -> GenSeries:
 
     On a finite support the table is read off fn at once, at each member.
     """
+    monoid.require_admitted(support)
     if isinstance(support, FiniteSet):
-        monoid.require_admitted(support)
         table = {m: fn(m) for m in support.elements}
         return GenSeries(monoid, ring, support, _TABLE, table)
     return GenSeries(monoid, ring, support, ("leaf", fn))

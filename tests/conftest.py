@@ -1,86 +1,16 @@
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from genseries import (ALL, IntRing, Mat2Ring, ModRing, RationalRing,
-                       from_function, from_terms)
-from genseries.catalog import GridTail, TailGE, finite
-
-ALL_RINGS = [IntRing(), RationalRing(), ModRing(6), Mat2Ring()]
+# the sample generators live in the package, where the selftest uses them too
+from genseries.selftest import (ALL_RINGS, element_pool, random_descriptor,  # noqa: F401
+                                random_series, ring_samples)
 
 
 @pytest.fixture
 def rng():
     return random.Random(20260810)
-
-
-def ring_samples(ring, rng, count=4):
-    if isinstance(ring, Mat2Ring):
-        return [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(count)]
-    if isinstance(ring, ModRing):
-        return [rng.randrange(ring.modulus) for _ in range(count)]
-    if isinstance(ring, RationalRing):
-        return [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(count)]
-    return [rng.randint(-8, 8) for _ in range(count)]
-
-
-def element_pool(monoid):
-    name = monoid.carrier.name
-    if name in ("nat", "nat-discrete"):
-        return list(range(0, 7))
-    if name in ("int", "int-discrete"):
-        return list(range(-5, 6))
-    if name in ("posnat-mul", "posnat-div"):
-        return list(range(1, 13))
-    if name == "rational-grid":
-        return sorted({Fraction(n, d) for d in (1, 2, 3) for n in range(-6, 7)})
-    if name == "free-words":
-        return monoid.window(2)
-    return monoid.window(10)
-
-
-def random_descriptor(monoid, rng, size=3):
-    name = monoid.carrier.name
-    if name in ("nat", "posnat-mul", "free-words", "truncated") and rng.random() < 0.4:
-        return ALL
-    if name == "int" and rng.random() < 0.5:
-        return TailGE(rng.randint(-4, 2))
-    if name == "rational-grid" and rng.random() < 0.6:
-        return GridTail(rng.randint(-3, 3), rng.randint(1, 3))
-    pool = element_pool(monoid)
-    return finite(rng.sample(pool, min(size, len(pool))))
-
-
-def lazy_support(monoid, rng):
-    """An infinite admitted descriptor for the carrier, or None."""
-    name = monoid.carrier.name
-    if name == "int":
-        return TailGE(rng.randint(-3, 1))
-    if name == "rational-grid":
-        return GridTail(rng.randint(-3, 2), rng.randint(1, 3))
-    if monoid.admits(ALL):
-        return ALL
-    return None
-
-
-def random_series(monoid, ring, rng, lazy_ok=True):
-    """Either a small explicit series or, on carriers with an infinite
-    admitted descriptor, a lazy one with deterministic pseudo-random
-    coefficients."""
-    support = lazy_support(monoid, rng) if lazy_ok and rng.random() < 0.3 else None
-    if support is not None:
-        seed = rng.randint(0, 10 ** 6)
-
-        def fn(m, _seed=seed):
-            return ring.from_int(random.Random(f"{_seed}/{m!r}").randint(-3, 3))
-
-        return from_function(monoid, ring, support, fn)
-    pool = element_pool(monoid)
-    picks = rng.sample(pool, min(rng.randint(0, 3), len(pool)))
-    coeffs = ring_samples(ring, rng, len(picks))
-    return from_terms(monoid, ring, list(zip(picks, coeffs)))

@@ -367,6 +367,18 @@ def test_malformed_poset_json_is_a_validation_error(capsys, poset, operation):
     assert_refused(run_cli(capsys, "poset", "--operation", operation, "--poset", poset))
 
 
+@pytest.mark.parametrize("words", ["5", "null", '{"a": 1}', "[5]", '[["x"]]'],
+                         ids=["int", "null", "object", "int-symbol", "list-symbol"])
+@pytest.mark.parametrize("command", ["series-eval", "classify"])
+def test_malformed_words_spec_is_a_validation_error(capsys, words, command):
+    spec = '{"words": ' + words + '}'
+    if command == "series-eval":
+        argv = ["--monoid", spec, "--ring", "int", "--expr", "1", "--window", "2"]
+    else:
+        argv = ["--carrier", spec, "--descriptor", '{"all": true}']
+    assert_refused(run_cli(capsys, command, *argv))
+
+
 @pytest.mark.parametrize("fields", ['"cayley": 5, "unit": 0', '"cayley": [5], "unit": 0',
                                     '"cayley": [[0]], "unit": "a"'])
 def test_malformed_pomonoid_json_is_a_validation_error(capsys, fields):

@@ -265,6 +265,8 @@ def test_member_checks():
     assert not rg.member(GridTail(2, 2), Fraction(1, 2))
     assert integers().member(TailGE(-1), 100)
     assert not integers().member(TailGE(-1), -2)
+    with pytest.raises(CarrierError):  # the element is checked, not only the set
+        nat().member(ALL, -1)
 
 
 def test_truncated_partial_associativity_exhaustive():

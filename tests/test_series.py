@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from genseries import (ALL, FinitePomonoid, FinitePoset, GridTail, InputError,
-                       IntRing, Mat2Ring, RationalRing, SizeBoundError, finite,
-                       free_words, from_function, from_terms, geometric, integers,
-                       moebius, nat, posnat_mul, rational_grid, truncated,
-                       unit_series, zero_series, zeta)
+from genseries import (ALL, DescriptorError, FinitePomonoid, FinitePoset, GridTail,
+                       InputError, IntRing, Mat2Ring, RationalRing, SizeBoundError,
+                       TailGE, finite, free_words, from_function, from_terms, geometric,
+                       integers, moebius, nat, nat_discrete, posnat_mul, rational_grid,
+                       truncated, unit_series, zero_series, zeta)
 
 import oracles
 
@@ -198,6 +198,21 @@ def test_finite_function_series_is_read_once_per_member():
     assert [f.coeff(m) for m in range(5)] == [0, 0, 0, 2, 0]
     assert (f * f).support == finite([2, 4, 6]) and (f * f).coeff(6) == 4
     assert sorted(calls) == [1, 3]
+
+
+@pytest.mark.parametrize("monoid, support", [
+    (nat_discrete(), ALL), (integers(), GridTail(0, 1)), (rational_grid(), TailGE(0)),
+], ids=["nat-discrete-all", "int-gridtail", "rational-grid-tailge"])
+def test_from_function_refuses_an_inadmissible_infinite_support(monoid, support):
+    calls = []
+
+    def fn(m):
+        calls.append(m)
+        return 1
+
+    with pytest.raises(DescriptorError):
+        from_function(monoid, R, support, fn)
+    assert calls == []
 
 
 def test_coeff_validates_elements():
