@@ -100,9 +100,9 @@ class Carrier:
     Concrete variants are frozen dataclasses so carriers compare by value.
     A carrier holds its elements and ``leq``, its partial order, used for
     subsequence extraction and display.  Variants that differ only in their
-    order share elements and windows through a private base.  The unit,
-    product and everything built on them live with the carrier's product
-    family in :mod:`genseries.monoids`.
+    order share elements through a private base.  The unit, product, windows
+    and everything else built on them live with the carrier's product family
+    in :mod:`genseries.monoids`.
     """
 
     name = "?"
@@ -121,10 +121,6 @@ class Carrier:
         """Canonical display key: numeric ascending, words shortlex."""
         return x
 
-    def window(self, region: int) -> list:
-        """All carrier elements inside the finite window, display order."""
-        raise NotImplementedError
-
     def monomial(self, x) -> str:
         return _exp_text(x)
 
@@ -140,11 +136,6 @@ class Carrier:
         return self.name
 
 
-def _check_region(region):
-    if not _is_int(region) or region < 0:
-        raise InputError(f"window must be a nonnegative integer, got {region!r}")
-
-
 def _exp_text(e) -> str:
     s = str(e)
     if s.startswith("-") or "/" in s:
@@ -153,14 +144,10 @@ def _exp_text(e) -> str:
 
 
 class _Nat(Carrier):
-    """Elements and windows of ``NatUsual`` and ``NatDiscrete``."""
+    """Elements of ``NatUsual`` and ``NatDiscrete``."""
 
     def is_element(self, x):
         return _is_int(x) and x >= 0
-
-    def window(self, region):
-        _check_region(region)
-        return list(range(region + 1))
 
 
 @dataclass(frozen=True)
@@ -180,14 +167,10 @@ class NatDiscrete(_Nat):
 
 
 class _Int(Carrier):
-    """Elements and windows of ``IntUsual`` and ``IntDiscrete``."""
+    """Elements of ``IntUsual`` and ``IntDiscrete``."""
 
     def is_element(self, x):
         return _is_int(x)
-
-    def window(self, region):
-        _check_region(region)
-        return list(range(-region, region + 1))
 
 
 @dataclass(frozen=True)
@@ -207,14 +190,10 @@ class IntDiscrete(_Int):
 
 
 class _PosNat(Carrier):
-    """Elements and windows of ``PosNatMulUsual`` and ``PosNatDivisibility``."""
+    """Elements of ``PosNatMulUsual`` and ``PosNatDivisibility``."""
 
     def is_element(self, x):
         return _is_int(x) and x >= 1
-
-    def window(self, region):
-        _check_region(region)
-        return list(range(1, region + 1))
 
 
 @dataclass(frozen=True)
@@ -239,11 +218,7 @@ class PosNatDivisibility(_PosNat):
 
 @dataclass(frozen=True)
 class RationalGrid(Carrier):
-    """The rationals under addition, usual order.
-
-    Windows enumerate every rational with denominator and absolute value
-    bounded by the region, which is enough to probe any fixed-grid tail.
-    """
+    """The rationals under addition, usual order."""
 
     name = "rational-grid"
 
@@ -252,14 +227,6 @@ class RationalGrid(Carrier):
 
     def leq(self, a, b):
         return a <= b
-
-    def window(self, region):
-        _check_region(region)
-        out = set()
-        for den in range(1, max(region, 1) + 1):
-            for num in range(-region * den, region * den + 1):
-                out.add(Fraction(num, den))
-        return sorted(out)
 
     def element_to_json(self, x):
         q = Fraction(x)
@@ -300,15 +267,6 @@ class FreeWords(Carrier):
     def sort_key(self, x):
         return (len(x), x)
 
-    def window(self, region):
-        _check_region(region)
-        out = [""]
-        frontier = [""]
-        for _ in range(region):
-            frontier = [w + ch for w in frontier for ch in self.alphabet]
-            out.extend(frontier)
-        return sorted(out, key=self.sort_key)
-
     def monomial(self, x):
         return x
 
@@ -330,10 +288,6 @@ class Truncated(Carrier):
 
     def leq(self, a, b):
         return a <= b
-
-    def window(self, region):
-        _check_region(region)
-        return list(range(min(self.n, region) + 1))
 
 
 def parse_rational(obj) -> Fraction:

@@ -19,17 +19,22 @@ order; its monoid structure lives here, in one class per product family:
 the additive naturals (``nat``, ``nat-discrete`` and ``trunc``), the
 additive integers, the positive naturals under multiplication, the
 rational grid and the words.  A family holds its unit, product,
-decomposition candidates, window test, tail bounds, the element a bare
-``T`` denotes and its list kernel for products of two infinite series.
+decomposition candidates, its windows (the whole window, the filter on
+finite sets and the window of its tail kind), tail bounds, the element a
+bare ``T`` denotes and its list kernel for products of two infinite
+series.  The ``Monoid`` base holds the descriptor protocol that every
+monoid shares: finite sets, their bounds and their windows.
 
 Descriptor admission is a rule table of its own; that it agrees with the
 order-theoretic classification (admitted iff artinian and narrow) is a
 tested invariant, not a definition, so the two routes stay independent.
 
 The ``Monoid`` methods are the boundary: ``mul``, ``member``,
-``decompose_within`` and the bounds check their elements and admit their
-descriptors, once per call.  Inside them nothing is checked again:
-``product`` multiplies checked elements, and each family's
+``decompose_within``, the bounds and ``enumerate_desc`` check their
+elements and admit their descriptors, once per call.  Inside them nothing
+is checked again: ``product`` multiplies checked elements,
+``enumerate_admitted`` lists the window of a descriptor already admitted
+(a series renders its own support through it), and each family's
 ``_candidates`` yields exact, distinct factorizations, which
 ``decompose_within`` filters by the descriptors' own ``in``.
 """
@@ -40,14 +45,14 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import repeat
 
 from .catalog import (ALL, All, Carrier, Descriptor, FiniteSet, FreeWords,
                       GridTail, IntDiscrete, IntUsual, NatDiscrete, NatUsual,
                       PosNatDivisibility, PosNatMulUsual, RationalGrid,
-                      TailGE, Truncated, _check_region, carrier_from_spec, finite)
-from .errors import CarrierError, DescriptorError
+                      TailGE, Truncated, _is_int, carrier_from_spec, finite)
+from .errors import CarrierError, DescriptorError, InputError
 
 
 class Monoid:
@@ -99,9 +104,18 @@ class Monoid:
         raise NotImplementedError
 
     # -- descriptors ---------------------------------------------------------
+    # Finite sets of elements are admitted on every monoid, and their bounds
+    # and windows are worked out here.  A subclass supplies the one infinite
+    # kind it admits, if any, and the hooks: ``_window`` (every element in
+    # the window), ``_in_window`` (which finite-set members it keeps) and the
+    # ``_tail_*`` bounds and window of its infinite kind.
+
+    _infinite_kind = None
 
     def admits(self, desc: Descriptor) -> bool:
-        raise NotImplementedError
+        if isinstance(desc, FiniteSet):
+            return all(self.is_element(e) for e in desc.elements)
+        return type(desc) is self._infinite_kind
 
     def require_admitted(self, desc: Descriptor):
         if not self.admits(desc):
@@ -130,18 +144,46 @@ class Monoid:
         raise NotImplementedError
 
     def mul_bound(self, s: Descriptor, t: Descriptor) -> Descriptor:
-        raise NotImplementedError
+        self.require_admitted(s)
+        self.require_admitted(t)
+        if isinstance(s, FiniteSet) and isinstance(t, FiniteSet):
+            image = {self.product(x, y) for x in s.elements for y in t.elements}
+            image.discard(None)
+            return FiniteSet(frozenset(image))
+        return self._tail_mul_bound(s, t)
 
     def union_bound(self, s: Descriptor, t: Descriptor) -> Descriptor:
-        raise NotImplementedError
+        self.require_admitted(s)
+        self.require_admitted(t)
+        if isinstance(s, FiniteSet) and isinstance(t, FiniteSet):
+            return FiniteSet(s.elements | t.elements)
+        return self._tail_union_bound(s, t)
 
     def enumerate_desc(self, desc: Descriptor, region: int) -> list:
         """Descriptor members inside the window, in display order."""
-        raise NotImplementedError
+        self.require_admitted(desc)
+        return self.enumerate_admitted(desc, region)
+
+    def enumerate_admitted(self, desc: Descriptor, region: int) -> list:
+        """``enumerate_desc`` of a descriptor already admitted, such as a
+        series' own support: the trusted step that rendering runs."""
+        _check_region(region)
+        if isinstance(desc, FiniteSet):
+            return sorted((x for x in desc.elements if self._in_window(x, region)),
+                          key=self.sort_key)
+        if isinstance(desc, All):
+            return self._window(region)
+        return self._tail_window(desc, region)
 
     def window(self, region: int) -> list:
         """All monoid elements inside the window (not descriptor-relative)."""
-        raise NotImplementedError
+        _check_region(region)
+        return self._window(region)
+
+
+def _check_region(region):
+    if not _is_int(region) or region < 0:
+        raise InputError(f"window must be a nonnegative integer, got {region!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,28 +246,9 @@ class CatalogMonoid(Monoid):
     def describe(self):
         return self.carrier.name
 
-    def admits(self, desc):
-        if isinstance(desc, FiniteSet):
-            return all(self.is_element(e) for e in desc.elements)
-        return type(desc) is _INFINITE_KIND.get(type(self.carrier))
-
-    # -- support bounds -------------------------------------------------------
-
-    def mul_bound(self, s, t):
-        self.require_admitted(s)
-        self.require_admitted(t)
-        if isinstance(s, FiniteSet) and isinstance(t, FiniteSet):
-            image = {self.product(x, y) for x in s.elements for y in t.elements}
-            image.discard(None)
-            return FiniteSet(frozenset(image))
-        return self._tail_mul_bound(s, t)
-
-    def union_bound(self, s, t):
-        self.require_admitted(s)
-        self.require_admitted(t)
-        if isinstance(s, FiniteSet) and isinstance(t, FiniteSet):
-            return FiniteSet(s.elements | t.elements)
-        return self._tail_union_bound(s, t)
+    @cached_property
+    def _infinite_kind(self):
+        return _INFINITE_KIND.get(type(self.carrier))
 
     # the bounds with an infinite operand; ALL is the only infinite
     # descriptor that a family without tails admits
@@ -235,23 +258,8 @@ class CatalogMonoid(Monoid):
     def _tail_union_bound(self, s, t):
         return ALL
 
-    # -- enumeration -----------------------------------------------------------
-
-    def enumerate_desc(self, desc, region):
-        self.require_admitted(desc)
-        _check_region(region)
-        if isinstance(desc, FiniteSet):
-            return sorted((x for x in desc.elements if self._in_window(x, region)),
-                          key=self.sort_key)
-        if isinstance(desc, All):
-            return self.window(region)
-        return self._tail_window(desc, region)
-
     def _in_window(self, x, region):  # numbers; the naturals lie above -region
         return -region <= x <= region
-
-    def window(self, region):
-        return self.carrier.window(region)
 
 
 class _NatMonoid(CatalogMonoid):
@@ -269,6 +277,9 @@ class _NatMonoid(CatalogMonoid):
             return [(m - y, y) for y in t.elements if y <= m]
         return [(i, m - i) for i in range(m + 1)]
 
+    def _window(self, region):
+        return list(range(region + 1))
+
     def list_kernel(self, points):
         return _cauchy
 
@@ -278,6 +289,9 @@ class _TruncMonoid(_NatMonoid):
 
     def product(self, a, b):
         return a + b if a + b <= self.carrier.n else None
+
+    def _window(self, region):
+        return list(range(min(self.carrier.n, region) + 1))
 
 
 class _IntMonoid(CatalogMonoid):
@@ -302,6 +316,9 @@ class _IntMonoid(CatalogMonoid):
     def _tail_union_bound(self, s, t):
         return TailGE(min(lo for lo in (_lowest(s), _lowest(t)) if lo is not None))
 
+    def _window(self, region):
+        return list(range(-region, region + 1))
+
     def _tail_window(self, desc, region):
         return list(range(max(desc.a, -region), region + 1))
 
@@ -316,13 +333,20 @@ class _PosNatMonoid(CatalogMonoid):
     def _candidates(self, m, s, t):
         return [(d, m // d) for d in _divisors(m)]
 
+    def _window(self, region):
+        return list(range(1, region + 1))
+
     def list_kernel(self, points):
         # a whole window 1..N; a single query sums its divisor pairs
         return _sieve if len(points) == max(points) else None
 
 
 class _GridMonoid(CatalogMonoid):
-    """The rationals under addition: ``rational-grid``, Puiseux exponents."""
+    """The rationals under addition: ``rational-grid``, Puiseux exponents.
+
+    A window holds every rational with denominator and absolute value
+    bounded by the region, which is enough to probe any fixed-grid tail.
+    """
 
     unit = Fraction(0)
     generator = Fraction(1)
@@ -368,6 +392,13 @@ class _GridMonoid(CatalogMonoid):
                   for x in d.elements]
         return reduce(_merge_tails, tails + points)
 
+    def _window(self, region):
+        out = set()
+        for den in range(1, max(region, 1) + 1):
+            for num in range(-region * den, region * den + 1):
+                out.add(Fraction(num, den))
+        return sorted(out)
+
     def _tail_window(self, desc, region):
         lo = max(desc.a, -region * desc.n)
         return [Fraction(i, desc.n) for i in range(lo, region * desc.n + 1)]
@@ -384,6 +415,14 @@ class _WordMonoid(CatalogMonoid):
 
     def _in_window(self, x, region):
         return len(x) <= region
+
+    def _window(self, region):
+        out = [""]
+        frontier = [""]
+        for _ in range(region):
+            frontier = [w + ch for w in frontier for ch in self.carrier.alphabet]
+            out.extend(frontier)
+        return sorted(out, key=self.sort_key)
 
 
 # Descriptor admission: finite sets on every carrier, plus at most one
@@ -426,7 +465,9 @@ class TableMonoid(Monoid):
 
     Produced by :func:`genseries.posets.embed_finite_pomonoid`.  Since every
     subset of a finite carrier is finitary, the admitted descriptor class is
-    just the finite sets, and decompositions are read off the table.
+    just the finite sets, whose bounds and windows ``Monoid`` works out; the
+    table supplies the product and decompositions, and every window holds
+    all of its labels.
     """
 
     labels: tuple
@@ -452,28 +493,14 @@ class TableMonoid(Monoid):
     def describe(self):
         return f"table-monoid({len(self.labels)} elements)"
 
-    def admits(self, desc):
-        return isinstance(desc, FiniteSet) and all(self.is_element(e) for e in desc.elements)
-
     def _candidates(self, m, s, t):
         return [(a, b) for a in self.labels for b in self.labels if self.product(a, b) == m]
 
-    def mul_bound(self, s, t):
-        self.require_admitted(s)
-        self.require_admitted(t)
-        return FiniteSet(frozenset(self.product(x, y) for x in s.elements for y in t.elements))
-
-    def union_bound(self, s, t):
-        self.require_admitted(s)
-        self.require_admitted(t)
-        return FiniteSet(s.elements | t.elements)
-
-    def enumerate_desc(self, desc, region):
-        self.require_admitted(desc)
-        return sorted(desc.elements, key=self.sort_key)
-
-    def window(self, region):
+    def _window(self, region):
         return list(self.labels)
+
+    def _in_window(self, x, region):
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,9 @@ Checks run at the boundary, not in the evaluator: ``from_terms`` checks
 every element and coefficient, ``from_function`` admits its support and
 ``coeff`` checks its point.  ``add``, ``neg`` and ``mul`` take their
 supports from the monoid's bounds or from tables of library products, so
-the constructor admits nothing again, and the evaluator tests demanded
-points with the descriptor's own ``in``.
+the constructor admits nothing again, ``window_coeffs`` lists a support's
+window unchecked and the evaluator tests demanded points with the
+descriptor's own ``in``.
 
 Series may be shared across threads: the memo fill is idempotent, so
 concurrent queries can at worst duplicate work, never disagree.
@@ -140,7 +141,7 @@ class GenSeries:
     def window_coeffs(self, region: int) -> dict:
         """{m: coefficient} for every support element in the window, in
         display order."""
-        elements = self.monoid.enumerate_desc(self.support, region)
+        elements = self.monoid.enumerate_admitted(self.support, region)
         return dict(zip(elements, _evaluate(self, elements)))
 
     def terms_on(self, region: int) -> list:

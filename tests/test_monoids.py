@@ -217,6 +217,12 @@ def test_enumerate_examples():
     assert rg.enumerate_desc(GridTail(-1, 2), 1) == \
         [Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
     assert free_words("xy").enumerate_desc(ALL, 1) == ["", "x", "y"]
+    assert rg.window(2) == [Fraction(k, 2) for k in range(-4, 5)]
+    # an alphabet out of order: the window is still in shortlex order
+    assert free_words("yx").window(2) == ["", "x", "y", "xx", "xy", "yx", "yy"]
+    assert truncated(2).window(5) == [0, 1, 2]
+    assert posnat_div().window(3) == [1, 2, 3]
+    assert integers_discrete().window(1) == [-1, 0, 1]
 
 
 def test_enumerate_tail_and_finite():

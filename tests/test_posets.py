@@ -3,10 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genseries import (ALL, FinitePomonoid, FinitePoset, GridTail, InputError,
-                       IntUsual, NatDiscrete, NatUsual, PosNatDivisibility,
+                       IntRing, IntUsual, NatDiscrete, NatUsual, PosNatDivisibility,
                        RationalGrid, SizeBoundError, StrictnessError,
                        TailGE, Truncated, classify_subset,
-                       embed_finite_pomonoid, finite, increasing_subsequence,
+                       embed_finite_pomonoid, finite, from_terms, increasing_subsequence,
                        is_strict_map, is_strict_pomonoid, largest_antichain,
                        longest_chain, poset_violations)
 from genseries.catalog import FreeWords, IntDiscrete, PosNatMulUsual
@@ -253,6 +253,40 @@ def test_embed_zmod3_decompositions():
     assert monoid.decompose_within(0, everything, everything) == [(0, 0), (1, 2), (2, 1)]
     assert monoid.mul(2, 2) == 1
     assert monoid.product(2, 2) == 1
+
+
+def test_embed_zmod3_descriptor_methods():
+    monoid = embed_finite_pomonoid(zmod_discrete(3))
+    # 1+1 = 2, 1+2 = 0 and 2+2 = 1 (mod 3)
+    assert monoid.mul_bound(finite([1]), finite([1, 2])) == finite([0, 2])
+    assert monoid.mul_bound(finite([1, 2]), finite([1, 2])) == finite([0, 1, 2])
+    assert monoid.mul_bound(finite([0]), finite([2])) == finite([2])
+    assert monoid.mul_bound(finite(), finite([1])) == finite()
+    assert monoid.union_bound(finite([2]), finite([0, 2])) == finite([0, 2])
+    assert monoid.union_bound(finite(), finite()) == finite()
+    # a finite carrier: every window holds every label, in label order
+    assert monoid.enumerate_desc(finite([2, 0]), 0) == [0, 2]
+    assert monoid.enumerate_desc(finite([2, 1, 0]), 7) == [0, 1, 2]
+    assert monoid.enumerate_desc(finite(), 1) == []
+    assert monoid.window(0) == [0, 1, 2]
+    for bad in (ALL, finite([3])):
+        with pytest.raises(DescriptorError):
+            monoid.mul_bound(bad, finite([1]))
+        with pytest.raises(DescriptorError):
+            monoid.union_bound(finite([1]), bad)
+        with pytest.raises(DescriptorError):
+            monoid.enumerate_desc(bad, 1)
+
+
+def test_embedded_monoid_refuses_negative_windows():
+    monoid = embed_finite_pomonoid(zmod_discrete(2))
+    series = from_terms(monoid, IntRing(), [(0, 1), (1, 2)])
+    for call in (lambda: monoid.enumerate_desc(finite([0, 1]), -1),
+                 lambda: monoid.window(-1),
+                 lambda: series.render(-5)):
+        with pytest.raises(InputError, match="window must be a nonnegative integer"):
+            call()
+    assert series.render(0) == "1 + 2·1"  # a table monomial is its label
 
 
 def test_embedded_monoid_is_finite_support_only():
