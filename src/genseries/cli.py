@@ -10,6 +10,12 @@ poset          validate / longest-chain / largest-antichain / strict-pomonoid
 category-check run the finiteness-space verification sweep
 selftest       condensed property suites of every module
 
+Expressions are tokenized in one pass (any whitespace, newlines included,
+separates tokens) and parsed by recursive descent; ``from_terms`` checks
+each term's element.  Each command prints through ``_emit``, the one
+reader of ``--format``, and ``--descriptor`` and ``--poset`` are decoded
+once, with errors reported by line.
+
 Exit codes: 0 success, 1 invalid input, 2 internal invariant violation
 or any other unexpected exception (always a bug, reported in one line
 without a traceback).  Windows are mandatory on lazy-series
@@ -24,6 +30,7 @@ import functools
 import json
 import re
 import sys
+from fractions import Fraction
 
 from . import finspace
 from .catalog import descriptor_from_json, descriptor_to_json, carrier_from_spec
@@ -39,29 +46,25 @@ from .selftest import run_selftest
 # ---------------------------------------------------------------------------
 # expression language
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(.))")
+_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
 
 
 def _tokenize(text: str) -> list:
+    """Numbers, names and operators; any whitespace separates tokens."""
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise InputError(f"cannot tokenize expression at position {pos}")
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
         number, name, sym = m.groups()
         if number is not None:
             try:
                 out.append(("num", int(number)))
             except ValueError as exc:  # past the interpreter's digit limit
-                raise InputError(f"number at position {m.start(1)}: {exc}") from exc
+                raise InputError(f"number at position {m.start()}: {exc}") from exc
         elif name is not None:
             out.append(("name", name))
-        elif sym.strip():
-            if sym not in "+-*·^/()":
-                raise InputError(f"unexpected character {sym!r} in expression")
+        elif sym in "+-*·^/()":
             out.append(("op", "*" if sym == "·" else sym))
+        else:
+            raise InputError(f"unexpected character {sym!r} in expression")
     out.append(("end", ""))
     return out
 
@@ -82,36 +85,47 @@ class _ExprParser:
         self.ring = ring
         self.window = window
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None, value=None):
+    def next(self):
         tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
+        self.pos += 1
+        return tok
+
+    def accept(self, op) -> bool:
+        """Consume the operator op if it comes next."""
+        if self.tokens[self.pos] != ("op", op):
+            return False
+        self.pos += 1
+        return True
+
+    def take(self, kind, value=None):
+        """The next token, which must be of this kind (and value)."""
+        tok = self.next()
+        if tok[0] != kind:
             raise InputError(f"expected {kind}, found {tok[1]!r}")
         if value is not None and tok[1] != value:
             raise InputError(f"expected {value!r}, found {tok[1]!r}")
-        self.pos += 1
         return tok
 
     def parse(self) -> GenSeries:
         out = self.expr()
-        if self.peek()[0] != "end":
-            raise InputError(f"trailing input at token {self.peek()[1]!r}")
+        kind, value = self.tokens[self.pos]
+        if kind != "end":
+            raise InputError(f"trailing input at token {value!r}")
         return out
 
     def expr(self) -> GenSeries:
         acc = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take("op")[1]
-            rhs = self.term()
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
+        while True:
+            if self.accept("+"):
+                acc = acc + self.term()
+            elif self.accept("-"):
+                acc = acc - self.term()
+            else:
+                return acc
 
     def term(self) -> GenSeries:
         acc = self.unary()
-        while self.peek() == ("op", "*"):
-            self.take("op", "*")
+        while self.accept("*"):
             acc = acc * self.unary()
         return acc
 
@@ -125,75 +139,50 @@ class _ExprParser:
         return out
 
     def unary(self) -> GenSeries:
-        if self.peek() == ("op", "-"):
-            self.take("op", "-")
+        if self.accept("-"):
             return -self.nested(self.unary)
         return self.atom()
 
     def atom(self) -> GenSeries:
-        kind, value = self.peek()
-        if kind == "num":
-            self.take("num")
-            return self.constant(value)
-        if kind == "op" and value == "(":
-            self.take("op", "(")
+        if self.accept("("):
             inner = self.nested(self.expr)
             self.take("op", ")")
             return inner
-        if kind == "name":
-            self.take("name")
-            if value == "T":
-                return self.monomial()
+        kind, value = self.next()
+        if kind == "num":
+            return self.monomial(self.monoid.unit, self.ring.from_int(value))
+        if kind != "name":
+            raise InputError(f"expected a term, found {value!r}")
+        if value != "T":
             return self.builtin(value)
-        raise InputError(f"expected a term, found {value!r}")
-
-    def constant(self, n: int) -> GenSeries:
-        return from_terms(self.monoid, self.ring, [(self.monoid.unit, self.ring.from_int(n))])
-
-    def monomial(self) -> GenSeries:
-        if self.peek() == ("op", "^"):
-            self.take("op", "^")
-            element = self.exponent()
-        else:
-            element = self._default_generator()
-        return from_terms(self.monoid, self.ring, [(element, self.ring.one)])
-
-    def _default_generator(self):
-        element = self.monoid.generator
-        if element is None:
+        if self.accept("^"):
+            return self.monomial(self.exponent(), self.ring.one)
+        if self.monoid.generator is None:
             raise InputError(f"carrier {self.monoid.describe()!r} has no default generator; "
                              "write T^<element>")
-        self.monoid.check_element(element)
-        return element
+        return self.monomial(self.monoid.generator, self.ring.one)
+
+    def monomial(self, element, coefficient) -> GenSeries:
+        # from_terms checks the element
+        return from_terms(self.monoid, self.ring, [(element, coefficient)])
 
     def exponent(self):
-        parenthesized = self.peek() == ("op", "(")
-        if parenthesized:
-            self.take("op", "(")
-        sign = 1
-        if self.peek() == ("op", "-"):
-            self.take("op", "-")
-            sign = -1
-        kind, value = self.peek()
+        parenthesized = self.accept("(")
+        sign = -1 if self.accept("-") else 1
+        kind, value = self.next()
         if kind == "num":
-            self.take("num")
-            num = sign * value
-            if self.peek() == ("op", "/"):
-                self.take("op", "/")
+            element = sign * value
+            if self.accept("/"):
                 den = self.take("num")[1]
                 if den == 0:
                     raise InputError("exponent has a zero denominator")
-                from fractions import Fraction
-                element = Fraction(num, den)
-            else:
-                element = num
+                element = Fraction(element, den)
         elif kind == "name" and sign == 1:
-            element = self.take("name")[1]  # a word exponent
+            element = value  # a word exponent
         else:
             raise InputError(f"bad exponent near {value!r}")
         if parenthesized:
             self.take("op", ")")
-        self.monoid.check_element(element)
         return element
 
     def builtin(self, name: str) -> GenSeries:
@@ -220,8 +209,14 @@ def eval_expression(text: str, monoid: Monoid, ring: Ring, window: int) -> GenSe
 # command implementations
 
 
-def _emit_json(payload):
-    print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
+def _emit(args, payload, text) -> int:
+    """Print the command's result in the chosen format: payload() as one JSON
+    line, or the text() lines.  Each format builds only its own output."""
+    if args.format == "json":
+        print(json.dumps(payload(), sort_keys=True, ensure_ascii=False))
+    else:
+        print(text())
+    return 0
 
 
 def _series_payload(series: GenSeries, monoid, ring, window: int):
@@ -265,6 +260,18 @@ def _parse_json_flag(text):
         return text  # bare names like "nat" are accepted as-is
 
 
+def _json_field(args, blob, name):
+    """--name (or "name" in --input) as JSON: flag text is decoded once,
+    with errors reported by line; a value from --input is decoded already."""
+    value = _field(args, blob, name, name)
+    if not isinstance(value, str):
+        return value
+    try:
+        return json.loads(value)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{name} line {exc.lineno}: {exc.msg}") from exc
+
+
 def _as_int(value, what):
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise InputError(f"{what} must be an integer, got {value!r}")
@@ -296,11 +303,8 @@ def _show_series(args, blob, monoid, ring, extra=lambda series: {}) -> int:
         series = eval_expression(expr, monoid, ring, window)
     else:
         series = _terms_from_json(monoid, ring, terms)
-    if args.format == "json":
-        _emit_json(_series_payload(series, monoid, ring, window) | extra(series))
-    else:
-        print(series.render(window))
-    return 0
+    return _emit(args, lambda: _series_payload(series, monoid, ring, window) | extra(series),
+                 lambda: series.render(window))
 
 
 def cmd_series_eval(args) -> int:
@@ -321,12 +325,9 @@ def cmd_dirichlet(args) -> int:
     series = eval_expression(expr, posnat_mul(), ring, n_max)
     values = series.window_coeffs(n_max)
     rows = [(n, values.get(n, ring.zero)) for n in range(1, n_max + 1)]
-    if args.format == "json":
-        _emit_json({"values": [[n, ring.element_to_json(value)] for n, value in rows]})
-    else:
-        for n, value in rows:
-            print(f"{n}\t{ring.render(value)}")
-    return 0
+    return _emit(args,
+                 lambda: {"values": [[n, ring.element_to_json(v)] for n, v in rows]},
+                 lambda: "\n".join(f"{n}\t{ring.render(v)}" for n, v in rows))
 
 
 def cmd_puiseux(args) -> int:
@@ -341,64 +342,37 @@ def cmd_puiseux(args) -> int:
 def cmd_classify(args) -> int:
     blob = _load_input(args)
     carrier = carrier_from_spec(_parse_json_flag(_field(args, blob, "carrier", "carrier")))
-    desc_json = _field(args, blob, "descriptor", "descriptor")
-    if isinstance(desc_json, str):
-        try:
-            desc_json = json.loads(desc_json)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"descriptor line {exc.lineno}: {exc.msg}") from exc
-    desc = descriptor_from_json(carrier, desc_json)
-    result = classify_subset(carrier, desc)
-    if args.format == "json":
-        _emit_json(result.to_json())
-    else:
-        flags = result.to_json()
-        print(", ".join(f"{k}={'yes' if v else 'no'}" for k, v in sorted(flags.items())))
-    return 0
+    desc = descriptor_from_json(carrier, _json_field(args, blob, "descriptor"))
+    flags = classify_subset(carrier, desc).to_json()
+    return _emit(args, lambda: flags,
+                 lambda: ", ".join(f"{k}={'yes' if v else 'no'}"
+                                   for k, v in sorted(flags.items())))
 
 
 def cmd_poset(args) -> int:
     blob = _load_input(args)
-    obj = blob if blob else _parse_json_flag(_field(args, blob, "poset", "poset"))
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"poset line {exc.lineno}: {exc.msg}") from exc
+    obj = blob or _json_field(args, blob, "poset")
     if not isinstance(obj, dict):
         raise InputError("poset JSON must be an object")
     op = args.operation
     if op == "validate":
         bad = poset_violations(*relation_from_json(obj.get("elements", []),
                                                    obj.get("leq", [])))
-        if args.format == "json":
-            _emit_json({"valid": not bad, "violations": bad})
-        else:
-            print("valid" if not bad else "invalid: " + "; ".join(bad))
-        return 0
+        return _emit(args, lambda: {"valid": not bad, "violations": bad},
+                     lambda: "invalid: " + "; ".join(bad) if bad else "valid")
     if op == "strict-pomonoid":
-        pomonoid = FinitePomonoid.from_json(obj)
-        strict = is_strict_pomonoid(pomonoid)
-        if args.format == "json":
-            _emit_json({"strict": strict})
-        else:
-            print("strict" if strict else "not strict")
-        return 0
+        strict = is_strict_pomonoid(FinitePomonoid.from_json(obj))
+        return _emit(args, lambda: {"strict": strict},
+                     lambda: "strict" if strict else "not strict")
     poset = FinitePoset.from_json(obj)
     if op == "longest-chain":
         chain = longest_chain(poset)
-        if args.format == "json":
-            _emit_json({"chain": chain, "length": len(chain)})
-        else:
-            print(" < ".join(str(x) for x in chain) if chain else "(empty)")
-        return 0
+        return _emit(args, lambda: {"chain": chain, "length": len(chain)},
+                     lambda: " < ".join(map(str, chain)) if chain else "(empty)")
     if op == "largest-antichain":
         anti = largest_antichain(poset)
-        if args.format == "json":
-            _emit_json({"antichain": anti, "size": len(anti)})
-        else:
-            print(", ".join(str(x) for x in anti) if anti else "(empty)")
-        return 0
+        return _emit(args, lambda: {"antichain": anti, "size": len(anti)},
+                     lambda: ", ".join(map(str, anti)) if anti else "(empty)")
     raise InputError(f"unknown poset operation {op!r}")
 
 
@@ -412,16 +386,9 @@ def cmd_category_check(args) -> int:
         max_size=args.max_size, seed=args.seed,
         parallel_samples=args.samples, cone_cap=60,
         hom_size=min(args.max_size, 2), perp_size=3, family_samples=60)
-    if args.format == "json":
-        _emit_json({"verified": not failures, "summary": summary, "failures": failures})
-    else:
-        for line in summary:
-            print(line)
-        if failures:
-            for line in failures:
-                print("FAIL " + line)
-        else:
-            print("all universal properties verified")
+    _emit(args, lambda: {"verified": not failures, "summary": summary, "failures": failures},
+          lambda: "\n".join(summary + (["FAIL " + line for line in failures]
+                                        or ["all universal properties verified"])))
     if failures:
         # construction bugs, not user error
         raise InternalError(f"{len(failures)} universal-property failures")
@@ -453,11 +420,8 @@ def _check_user_diagram(blob, args) -> int:
         failures = (finspace.verify_equalizer(f, g, eq_space, incl)
                     + finspace.verify_coequalizer(f, g, q_space, qmap))
         result["verified"] = not failures
-    if args.format == "json":
-        _emit_json(result)
-    else:
-        for key, value in sorted(result.items()):
-            print(f"{key}: {value}")
+    _emit(args, lambda: result,
+          lambda: "\n".join(f"{key}: {value}" for key, value in sorted(result.items())))
     if failures:
         raise InternalError(f"{len(failures)} universal-property failures")
     return 0

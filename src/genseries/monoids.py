@@ -34,9 +34,11 @@ The ``Monoid`` methods are the boundary: ``mul``, ``member``,
 elements and admit their descriptors, once per call.  Inside them nothing
 is checked again: ``product`` multiplies checked elements,
 ``enumerate_admitted`` lists the window of a descriptor already admitted
-(a series renders its own support through it), and each family's
-``_candidates`` yields exact, distinct factorizations, which
-``decompose_within`` filters by the descriptors' own ``in``.
+(a series renders its own support through it), ``tail_mul_bound`` and
+``tail_union_bound`` bound admitted supports (series arithmetic runs
+them), and each family's ``_candidates`` yields exact, distinct
+factorizations, which ``decompose_within`` filters by the descriptors'
+own ``in``.
 """
 
 from __future__ import annotations
@@ -107,8 +109,9 @@ class Monoid:
     # Finite sets of elements are admitted on every monoid, and their bounds
     # and windows are worked out here.  A subclass supplies the one infinite
     # kind it admits, if any, and the hooks: ``_window`` (every element in
-    # the window), ``_in_window`` (which finite-set members it keeps) and the
-    # ``_tail_*`` bounds and window of its infinite kind.
+    # the window), ``_in_window`` (which finite-set members it keeps) and,
+    # for its infinite kind, ``_tail_window`` and the bounds ``tail_mul_bound``
+    # and ``tail_union_bound``.
 
     _infinite_kind = None
 
@@ -150,14 +153,14 @@ class Monoid:
             image = {self.product(x, y) for x in s.elements for y in t.elements}
             image.discard(None)
             return FiniteSet(frozenset(image))
-        return self._tail_mul_bound(s, t)
+        return self.tail_mul_bound(s, t)
 
     def union_bound(self, s: Descriptor, t: Descriptor) -> Descriptor:
         self.require_admitted(s)
         self.require_admitted(t)
         if isinstance(s, FiniteSet) and isinstance(t, FiniteSet):
             return FiniteSet(s.elements | t.elements)
-        return self._tail_union_bound(s, t)
+        return self.tail_union_bound(s, t)
 
     def enumerate_desc(self, desc: Descriptor, region: int) -> list:
         """Descriptor members inside the window, in display order."""
@@ -250,12 +253,15 @@ class CatalogMonoid(Monoid):
     def _infinite_kind(self):
         return _INFINITE_KIND.get(type(self.carrier))
 
-    # the bounds with an infinite operand; ALL is the only infinite
-    # descriptor that a family without tails admits
-    def _tail_mul_bound(self, s, t):
+    def tail_mul_bound(self, s, t):
+        """``mul_bound`` of admitted descriptors, one of them infinite: the
+        trusted step that series products run on their factors' supports.
+        ALL is the only infinite descriptor a family without tails admits."""
         return ALL
 
-    def _tail_union_bound(self, s, t):
+    def tail_union_bound(self, s, t):
+        """``union_bound`` of admitted descriptors, one of them infinite: the
+        trusted step that series sums run."""
         return ALL
 
     def _in_window(self, x, region):  # numbers; the naturals lie above -region
@@ -309,11 +315,11 @@ class _IntMonoid(CatalogMonoid):
         # two tails: m1 >= s.a and m2 = m - m1 >= t.a bound the scan
         return [(i, m - i) for i in range(s.a, m - t.a + 1)]
 
-    def _tail_mul_bound(self, s, t):
+    def tail_mul_bound(self, s, t):
         lo_s, lo_t = _lowest(s), _lowest(t)
         return finite() if lo_s is None or lo_t is None else TailGE(lo_s + lo_t)
 
-    def _tail_union_bound(self, s, t):
+    def tail_union_bound(self, s, t):
         return TailGE(min(lo for lo in (_lowest(s), _lowest(t)) if lo is not None))
 
     def _window(self, region):
@@ -376,7 +382,7 @@ class _GridMonoid(CatalogMonoid):
                 out.append((Fraction(i, n), Fraction(j.numerator, mm)))
         return out
 
-    def _tail_mul_bound(self, s, t):
+    def tail_mul_bound(self, s, t):
         if isinstance(t, FiniteSet):
             s, t = t, s  # the product commutes
         if isinstance(s, FiniteSet):
@@ -385,7 +391,7 @@ class _GridMonoid(CatalogMonoid):
         # two tails: {i/n + j/m} lands in the tail of the product grid
         return GridTail(s.a * t.n + t.a * s.n, s.n * t.n)
 
-    def _tail_union_bound(self, s, t):
+    def tail_union_bound(self, s, t):
         tails = [d for d in (s, t) if isinstance(d, GridTail)]
         # the tail from x is the naturals shifted by x
         points = [_shift_tail(x, GridTail(0, 1)) for d in (s, t) if isinstance(d, FiniteSet)

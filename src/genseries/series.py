@@ -39,11 +39,12 @@ members of their support, once each.
 
 Checks run at the boundary, not in the evaluator: ``from_terms`` checks
 every element and coefficient, ``from_function`` admits its support and
-``coeff`` checks its point.  ``add``, ``neg`` and ``mul`` take their
-supports from the monoid's bounds or from tables of library products, so
-the constructor admits nothing again, ``window_coeffs`` lists a support's
-window unchecked and the evaluator tests demanded points with the
-descriptor's own ``in``.
+``coeff`` checks its point.  Nothing the library derived is admitted
+again: the builtins are leaves on ``ALL``, which their monoids admit;
+``add``, ``neg`` and ``mul`` take their supports from tables of library
+products or from the monoid's unchecked tail bounds; ``window_coeffs``
+lists a support's window unchecked and the evaluator tests demanded
+points with the descriptor's own ``in``.
 
 Series may be shared across threads: the memo fill is idempotent, so
 concurrent queries can at worst duplicate work, never disagree.
@@ -107,7 +108,7 @@ class GenSeries:
             for m, c in other._memo.items():
                 table[m] = ring.add(table[m], c) if m in table else c
             return GenSeries(monoid, ring, finite(table), _TABLE, table)
-        return GenSeries(monoid, ring, monoid.union_bound(self.support, other.support),
+        return GenSeries(monoid, ring, monoid.tail_union_bound(self.support, other.support),
                          ("add", self, other))
 
     def neg(self) -> "GenSeries":
@@ -128,7 +129,7 @@ class GenSeries:
             return GenSeries(monoid, ring, finite(table), _TABLE, table)
         # the bound of a finite and an infinite factor is finite only when it
         # is empty, so an empty memo is then the whole table
-        return GenSeries(monoid, ring, monoid.mul_bound(self.support, other.support),
+        return GenSeries(monoid, ring, monoid.tail_mul_bound(self.support, other.support),
                          ("mul", self, other))
 
     __add__ = add
@@ -358,12 +359,12 @@ def from_function(monoid: Monoid, ring: Ring, support, fn) -> GenSeries:
 
 def geometric(ring: Ring) -> GenSeries:
     """1 + T + T^2 + ... over the naturals."""
-    return from_function(nat(), ring, ALL, lambda m: ring.one)
+    return GenSeries(nat(), ring, ALL, ("leaf", lambda m: ring.one))
 
 
 def zeta(ring: Ring) -> GenSeries:
     """The arithmetic function that is constantly one (Dirichlet zeta)."""
-    return from_function(posnat_mul(), ring, ALL, lambda m: ring.one)
+    return GenSeries(posnat_mul(), ring, ALL, ("leaf", lambda m: ring.one))
 
 
 def moebius(ring: Ring, bound: int) -> GenSeries:
@@ -381,7 +382,7 @@ def moebius(ring: Ring, bound: int) -> GenSeries:
             raise SizeBoundError(f"moebius precomputed up to {bound}, asked for {n}")
         return ring.from_int(values[n])
 
-    return from_function(posnat_mul(), ring, ALL, mu)
+    return GenSeries(posnat_mul(), ring, ALL, ("leaf", mu))
 
 
 def _moebius_table(bound: int) -> list[int]:

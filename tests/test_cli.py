@@ -284,6 +284,19 @@ def test_bad_expression_reports_position(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("expr", ["1 + T\n", "1 + T \n\n", "\n1 + T\r\n"])
+def test_any_whitespace_separates_tokens(capsys, expr):
+    """A trailing newline is whitespace like any other."""
+    assert run_cli(capsys, "series-eval", "--monoid", "nat", "--ring", "int",
+                   "--window", "3", f"--expr={expr}") == (0, "1 + 1·T^1\n", "")
+
+
+def test_long_number_error_names_its_position(capsys):
+    code, out, err = run_cli(capsys, "series-eval", "--monoid", "nat", "--ring", "int",
+                             "--window", "3", "--expr", "1 +  " + "9" * 5000)
+    assert (code, out) == (1, "") and err.startswith("error: number at position 5: ")
+
+
 @pytest.mark.parametrize("expr", ["(" * 2000 + "1" + ")" * 2000, "-" * 2000 + "1"],
                          ids=["parentheses", "unary-minus"])
 def test_deep_nesting_is_a_validation_error(capsys, expr):
@@ -365,6 +378,13 @@ def test_unparseable_numbers_are_validation_errors(capsys, expr):
                                        "strict-pomonoid"])
 def test_malformed_poset_json_is_a_validation_error(capsys, poset, operation):
     assert_refused(run_cli(capsys, "poset", "--operation", operation, "--poset", poset))
+
+
+@pytest.mark.parametrize("poset", ['"abc"', '"{}"', "null"])
+def test_poset_json_that_is_no_object_is_refused_once(capsys, poset):
+    """Valid JSON that is not an object is decoded once and refused as such."""
+    assert run_cli(capsys, "poset", "--operation", "validate", "--poset", poset) == (
+        1, "", "error: poset JSON must be an object\n")
 
 
 @pytest.mark.parametrize("words", ["5", "null", '{"a": 1}', "[5]", '[["x"]]'],

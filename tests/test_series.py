@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from genseries import (ALL, DescriptorError, FinitePomonoid, FinitePoset, GridTail,
-                       InputError, IntRing, Mat2Ring, RationalRing, SizeBoundError,
+                       InputError, IntRing, Mat2Ring, Monoid, RationalRing, SizeBoundError,
                        TailGE, finite, free_words, from_function, from_terms, geometric,
                        integers, moebius, nat, nat_discrete, posnat_mul, rational_grid,
                        truncated, unit_series, zero_series, zeta)
+from genseries.cli import eval_expression
 
 import oracles
 
@@ -213,6 +214,18 @@ def test_from_function_refuses_an_inadmissible_infinite_support(monoid, support)
     with pytest.raises(DescriptorError):
         from_function(monoid, R, support, fn)
     assert calls == []
+
+
+def test_series_arithmetic_admits_no_support_the_library_derived(monkeypatch):
+    """Builtins are leaves on ALL and sums and products bound their operands'
+    supports unchecked, so building an expression admits nothing."""
+    def refuse(self, desc):
+        raise AssertionError(f"re-admitted {desc!r}")
+
+    monkeypatch.setattr(Monoid, "require_admitted", refuse)
+    series = eval_expression("geometric * geometric + 1 - T", nat(), R, 3)
+    assert series.support == ALL
+    assert series.render(3) == "2 + 1·T^1 + 3·T^2 + 4·T^3"
 
 
 def test_coeff_validates_elements():
