@@ -379,9 +379,8 @@ def cmd_poset(args) -> int:
 def cmd_category_check(args) -> int:
     if args.samples < 0:
         raise InputError(f"--samples must be a nonnegative integer, got {args.samples}")
-    blob = _load_input(args)
-    if blob:
-        return _check_user_diagram(blob, args)
+    if args.input:
+        return _check_user_diagram(_load_input(args), args)
     failures, summary = finspace.verification_sweep(
         max_size=args.max_size, seed=args.seed,
         parallel_samples=args.samples, cone_cap=60,

@@ -92,8 +92,12 @@ class Monoid:
     generator = None
 
     def list_kernel(self, points):
-        """The list kernel for a product of two infinite series at ``points``,
-        or None: then each point sums its ``decompose_within`` fiber."""
+        """The list kernel for the products of two infinite series in a query
+        at ``points``, or None: then each point sums its ``decompose_within``
+        fiber.  A kernel runs on value lists over the prefix from the unit,
+        which holds every fiber of its points; a family with one commutes,
+        admits no infinite descriptor but ALL and has products that grow
+        with either factor."""
         return None
 
     def sort_key(self, x):
@@ -200,7 +204,7 @@ def _cauchy(f: list, g: list, ks, add, mul, zero) -> list:
     top = len(f) - 1
     # plain ints take sum's fast path; other rings fold with their own add
     total = sum if add is operator.add else (lambda terms: reduce(add, terms, zero))
-    return [total(map(mul, f[:k + 1], rg[top - k:])) for k in ks]
+    return [total(map(mul, f, rg[top - k:])) for k in ks]  # map stops after k + 1 terms
 
 
 def _sieve(f: list, g: list, ks, add, mul, zero) -> list:
@@ -399,11 +403,16 @@ class _GridMonoid(CatalogMonoid):
         return reduce(_merge_tails, tails + points)
 
     def _window(self, region):
-        out = set()
-        for den in range(1, max(region, 1) + 1):
-            for num in range(-region * den, region * den + 1):
-                out.add(Fraction(num, den))
-        return sorted(out)
+        # the Farey fractions of order n on [0, 1), in order by the next-term
+        # recurrence, moved onto each unit interval of [-region, region)
+        n = max(region, 1)
+        farey, (a, b, c, d) = [], (0, 1, 1, n)
+        while a < b:
+            farey.append((a, b))
+            k = (n + b) // d
+            a, b, c, d = c, d, k * c - a, k * d - b
+        return [Fraction(i * q + p, q) for i in range(-region, region)
+                for p, q in farey] + [Fraction(region)]
 
     def _tail_window(self, desc, region):
         lo = max(desc.a, -region * desc.n)

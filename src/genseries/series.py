@@ -33,9 +33,13 @@ two infinite factors is computed (``Monoid.list_kernel``): a Cauchy
 product over lists on the additive naturals, one dot product per point,
 and a Dirichlet sieve for a whole window on the positive naturals, while
 a single query there sums its divisor pairs; everywhere else fibers come
-from ``decompose_within``.  Each series keeps its values in its memo, so
-repeated queries reuse work below the root, and leaves are read only at
-members of their support, once each.
+from ``decompose_within``.  Where a list kernel runs, every fiber of a
+point up to the top lies in the prefix below it, so everything under the
+product is evaluated in one pass over that prefix, one value list per
+series (``_factor_lists``); a finite table there is multiplied entry by
+entry, never spread into a dense list.  Each series keeps its values in
+its memo, so repeated queries reuse work below the root, and leaves are
+read only at members of their support, once each.
 
 Checks run at the boundary, not in the evaluator: ``from_terms`` checks
 every element and coefficient, ``from_function`` admits its support and
@@ -186,6 +190,26 @@ def _is_finite(series: GenSeries) -> bool:
 # evaluation
 
 
+def _post_order(root: GenSeries, operands) -> list:
+    """root and the nodes below it that ``operands(node)`` reaches, each
+    once, operands before the nodes that use them."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:  # iterative, so chain depth costs no stack
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            stack += [(f, False) for f in operands(node)]
+    return order
+
+
+def _infinite_operands(node: GenSeries) -> list:
+    build = node._build
+    return [] if build[0] == "leaf" else [f for f in build[1:] if not _is_finite(f)]
+
+
 def _evaluate(root: GenSeries, points) -> list:
     """root's coefficients at carrier elements that the caller has validated.
 
@@ -195,7 +219,9 @@ def _evaluate(root: GenSeries, points) -> list:
     negation needs them at the same points, a product its factors on the
     fibers of its points.  Bottom-up, each node then computes its demand
     into its memo.  Finite tables, memoized points and points outside an
-    operand's support end the descent.
+    operand's support end the descent, and so does a product of two
+    infinite factors that the monoid's list kernel runs for these points:
+    ``_factor_lists`` evaluates everything below it on a prefix.
     """
     monoid, ring = root.monoid, root.ring
     zero = ring.zero
@@ -211,40 +237,31 @@ def _evaluate(root: GenSeries, points) -> list:
             need.setdefault(node, set()).update(new)
 
     demand(root, points)
-    order, seen, stack = [], set(), [(root, False)] if need else []
-    while stack:  # post-order of the infinite nodes: operands first
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-        elif node not in seen:
-            seen.add(node)
-            stack.append((node, True))
-            if node._build[0] != "leaf":
-                stack.extend((f, False) for f in node._build[1:] if not _is_finite(f))
+    kernel = monoid.list_kernel(points) if need else None
 
-    plans = {}  # product node -> its list kernel, or its fibers {m: pairs}
+    def by_kernel(node):
+        op, *operands = node._build
+        return kernel is not None and op == "mul" and not any(map(_is_finite, operands))
+
+    order = _post_order(root, lambda node: [] if by_kernel(node)
+                        else _infinite_operands(node)) if need else []
+    plans = {}  # product node -> the list kernel, or its fibers {m: pairs}
     for node in reversed(order):  # parents first, so each demand is whole when passed on
         wanted = need.get(node)
         op, *operands = node._build
         if not wanted or op == "leaf":
             continue
-        if op != "mul":
-            for f in operands:
-                demand(f, wanted)
-            continue
-        f, g = operands
-        # the monoid's list kernel applies to two infinite factors only
-        kernel = None if _is_finite(f) or _is_finite(g) else monoid.list_kernel(wanted)
-        if kernel is None:
+        if by_kernel(node):
+            plans[node] = kernel
+        elif op == "mul":
+            f, g = operands
             fibers = plans[node] = {m: monoid.decompose_within(m, f.support, g.support)
                                     for m in wanted}
             demand(f, [a for pairs in fibers.values() for a, _ in pairs])
             demand(g, [b for pairs in fibers.values() for _, b in pairs])
         else:
-            plans[node] = kernel
-            span = range(monoid.unit, max(wanted) + 1)  # every factor of the points
-            demand(f, span)
-            demand(g, span)
+            for f in operands:
+                demand(f, wanted)
 
     for node in order:
         wanted = need.get(node)
@@ -275,12 +292,90 @@ def _evaluate(root: GenSeries, points) -> list:
                     total = ring.add(total, ring.mul(fv[a], gv[b]))
                 memo[m] = total
         else:
-            top, ks = max(wanted), list(wanted)
-            f_list = [fv.get(i, zero) for i in range(top + 1)]
-            g_list = [gv.get(i, zero) for i in range(top + 1)]
+            ks = list(wanted)
+            f_list, g_list = _factor_lists(node, max(ks), plan)
             memo.update(zip(ks, _products(plan, ring, f_list, g_list, ks)))
     memo = root._memo
     return [memo.get(m, zero) for m in points]
+
+
+def _factor_lists(product: GenSeries, top: int, kernel) -> tuple:
+    """The two factors of a list-kernel product on the prefix unit..top, each
+    as one value list indexed by element (zero below the unit).
+
+    Every fiber of a prefix point lies in the prefix, so each infinite node
+    below the product is evaluated on the whole prefix, as one list, and
+    its values are written into its memo: leaves are read at each point
+    once, sums and negations go elementwise, a product of two infinite
+    nodes runs the kernel, and a product with a finite table adds each
+    entry times the other list, moved by its element.  A node whose memo
+    holds the whole prefix is read, and nothing below it is visited.  The
+    families with a list kernel admit no infinite support but ALL, so every
+    prefix point is a support point.
+    """
+    monoid, ring = product.monoid, product.ring
+    zero, unit = ring.zero, monoid.unit
+    prefix = range(unit, top + 1)
+    lists = {}  # node -> its values over 0..top
+
+    def operands(node):  # what the walk descends into; a whole memo is read here
+        memo = node._memo
+        if memo and all(m in memo for m in prefix):
+            lists[node] = [zero] * unit + [memo[m] for m in prefix]
+            return []
+        return _infinite_operands(node)
+
+    def column(f):  # a finite table has no list; it is densified only to be added
+        if f in lists:
+            return lists[f]
+        out = [zero] * (top + 1)
+        for m, c in f._memo.items():
+            if m <= top:
+                out[m] = c
+        return out
+
+    for node in _post_order(product, operands)[:-1]:  # the product is its caller's
+        if node in lists:
+            continue
+        memo = node._memo
+        op, *args = node._build
+        if op == "leaf":
+            fn = args[0]
+            values = [zero] * unit + [memo[m] if m in memo else fn(m) for m in prefix]
+        elif op == "neg":
+            values = list(map(ring.neg, lists[args[0]]))
+        elif op == "add":
+            values = list(map(ring.add, column(args[0]), column(args[1])))
+        else:  # a finite factor has no list
+            f, g = args
+            f_list, g_list = lists.get(f), lists.get(g)
+            if f_list is None:
+                values = _times_table(monoid, ring, f._memo, g_list, top, True)
+            elif g_list is None:
+                values = _times_table(monoid, ring, g._memo, f_list, top, False)
+            else:
+                values = _products(kernel, ring, f_list, g_list, range(top + 1))
+        lists[node] = values
+        memo.update(zip(prefix, values[unit:]))
+    f, g = product._build[1:]
+    return lists[f], lists[g]
+
+
+def _times_table(monoid: Monoid, ring: Ring, table: dict, values: list, top: int,
+                 table_first: bool) -> list:
+    """The product of a finite table and a value list over 0..top, with the
+    table's values as the left factors when table_first: each entry
+    (x, c) times the list moved by x, O(|table| * top)."""
+    out = [ring.zero] * (top + 1)
+    mul = ring.mul if table_first else (lambda c, v: ring.mul(v, c))
+    for x, c in table.items():
+        # the list-kernel families commute, and their products grow with j
+        for j in range(monoid.unit, top + 1):
+            m = monoid.product(x, j)
+            if m is None or m > top:
+                break
+            out[m] = ring.add(out[m], mul(c, values[j]))
+    return out
 
 
 def _products(kernel, ring: Ring, f: list, g: list, ks: list) -> list:
@@ -304,6 +399,14 @@ def _convolve(monoid: Monoid, ring: Ring, f: dict, g: dict) -> dict:
     """Exact product of two finite tables; undefined monoid products drop out."""
     out = {}
     product = monoid.product  # table keys were checked when the tables were built
+    if isinstance(ring, IntRing):  # plain ints: the same keys, order and zero entries
+        get = out.get
+        for x, a in f.items():
+            for y, b in g.items():
+                m = product(x, y)
+                if m is not None:
+                    out[m] = get(m, 0) + a * b
+        return out
     for x, a in f.items():
         for y, b in g.items():
             m = product(x, y)

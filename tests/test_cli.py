@@ -253,6 +253,16 @@ def test_category_check_restricted_family_fails_morphism(capsys, tmp_path):
     assert json.loads(out)["f_morphism"] is False
 
 
+def test_category_check_refuses_an_empty_diagram(capsys, tmp_path):
+    # an empty object is a diagram missing its fields, not a request for the sweep
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    code, out, err = run_cli(capsys, "category-check", "--input", str(path),
+                             "--max-size", "0", "--samples", "1")
+    assert (code, out) == (1, "")
+    assert err == 'error: diagram JSON needs "dom", "cod" and "f"\n'
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0

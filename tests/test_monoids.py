@@ -225,6 +225,16 @@ def test_enumerate_examples():
     assert integers_discrete().window(1) == [-1, 0, 1]
 
 
+def test_rational_grid_window_is_the_sorted_set_of_bounded_fractions():
+    # every p/q with 1 <= q <= max(r, 1) and |p/q| <= r, collected and sorted
+    def sorted_set(region):
+        return sorted({Fraction(num, den) for den in range(1, max(region, 1) + 1)
+                       for num in range(-region * den, region * den + 1)})
+
+    for region in range(13):
+        assert rational_grid().window(region) == sorted_set(region)
+
+
 def test_enumerate_tail_and_finite():
     assert integers().enumerate_desc(TailGE(-2), 2) == [-2, -1, 0, 1, 2]
     assert nat().enumerate_desc(finite([5, 1, 9]), 6) == [1, 5]

@@ -4,19 +4,23 @@ a brute-force reference and independent formulas."""
 
 import math
 import operator
+import random
 from fractions import Fraction
 from functools import reduce
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genseries import (ALL, GridTail, IntRing, TailGE, catalog_monoids,
-                       from_function, from_terms, geometric, moebius, nat,
-                       posnat_mul, truncated, zeta)
+from genseries import (ALL, GridTail, IntRing, Mat2Ring, ModRing, TailGE,
+                       catalog_monoids, from_function, from_terms, geometric,
+                       moebius, nat, posnat_mul, truncated, zeta)
 from genseries.cli import main
+from genseries.series import _convolve
 
 import oracles
-from conftest import ALL_RINGS, random_series, ring_samples
+from conftest import ALL_RINGS, element_pool, random_series, ring_samples
 from test_series import _symmetric_group_monoid
 
 
@@ -45,14 +49,16 @@ def random_tree(monoid, ring, rng, depth):
     return (op, f, random_tree(monoid, ring, rng, depth - 1))
 
 
-def build(tree):
-    """A fresh series for the tree; only the leaves are shared."""
-    op, *args = tree
-    if op == "leaf":
-        return args[0]
-    operands = [build(t) for t in args]
-    return {"neg": operator.neg, "add": operator.add, "sub": operator.sub,
-            "mul": operator.mul}[op](*operands)
+def build(tree, built=None):
+    """A fresh series for the tree; only the leaves are shared, and a
+    subtree object that occurs twice in the tree is one series."""
+    built = {} if built is None else built  # by id: the tree outlives the call
+    if id(tree) not in built:
+        op, *args = tree
+        built[id(tree)] = args[0] if op == "leaf" else {
+            "neg": operator.neg, "add": operator.add, "sub": operator.sub,
+            "mul": operator.mul}[op](*(build(t, built) for t in args))
+    return built[id(tree)]
 
 
 def random_expression(monoid, ring, rng, depth):
@@ -255,3 +261,113 @@ def test_single_queries_read_their_operands_only_on_fibers():
     f = from_function(nat(), R, ALL, counted(reads))
     assert (f * from_terms(nat(), R, [(0, 1), (5, 2)])).coeff(10 ** 5) == 3
     assert sorted(reads) == [10 ** 5 - 5, 10 ** 5]
+
+
+# ---------------------------------------------------------------------------
+# the prefix pass: products below a list-kernel product on nat, trunc and
+# posnat-mul are evaluated as whole value lists
+
+
+def shapes():
+    """Tree shapes: lazy leaves on ALL, finite tables, negations, sums and
+    products, so that products of two infinite series and of a table with an
+    infinite series (on either side) all occur."""
+    leaves = st.sampled_from([("lazy",), ("table",)])
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.sampled_from(["add", "sub", "mul"]), sub, sub)), max_leaves=6)
+
+
+def materialize(shape, monoid, ring, rng):
+    """The tree for a shape, with leaves drawn from rng: the same rng state
+    gives equal trees of distinct series."""
+    op, *args = shape
+    if op == "lazy":
+        salt = rng.randint(0, 10 ** 6)
+        return ("leaf", from_function(monoid, ring, ALL, lambda m: ring_samples(
+            ring, random.Random(f"{salt}/{m}"), 1)[0]))
+    if op == "table":
+        picks = rng.sample(element_pool(monoid), rng.randint(0, 3))
+        return ("leaf", from_terms(monoid, ring, list(zip(picks, ring_samples(ring, rng)))))
+    return (op, *(materialize(a, monoid, ring, rng) for a in args))
+
+
+def shared_tree(shapes, monoid, ring, seed):
+    """(twice * a) * left + right * (b * twice) + twice * c for shapes
+    (twice, left, right), lazy leaves a and b and a table c, where twice is
+    one subtree object: ``build`` builds it once, so one series is a
+    left and a right factor, below a list-kernel product and, through c,
+    outside one."""
+    rng = random.Random(seed)
+    twice, left, right, a, b, c = (
+        materialize(shape, monoid, ring, rng)
+        for shape in (*shapes, ("lazy",), ("lazy",), ("table",)))
+    return ("add", ("add", ("mul", ("mul", twice, a), left), ("mul", right, ("mul", b, twice))),
+            ("mul", twice, c))
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=repr)
+@pytest.mark.parametrize("monoid", [nat(), truncated(7), posnat_mul()],
+                         ids=lambda m: m.describe())
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(trees=st.tuples(shapes(), shapes(), shapes()), seed=st.integers(0, 10 ** 6),
+       region=st.integers(1, 9), data=st.data())
+def test_prefix_pass_matches_the_brute_force_reference(trees, monoid, ring, seed, region,
+                                                       data):
+    want = reference(shared_tree(trees, monoid, ring, seed), monoid, ring, region)
+    points = monoid.window(region)
+
+    got = build(shared_tree(trees, monoid, ring, seed)).window_coeffs(region)
+    assert all(ring.eq(c, want(m)) for m, c in got.items())
+    assert all(m in got for m in points if not ring.is_zero(want(m)))
+
+    # single queries at a high point, a lower one and a higher one, then the
+    # window over the memos they left
+    series = build(shared_tree(trees, monoid, ring, seed))
+    low, mid, high = sorted(data.draw(st.lists(st.sampled_from(points), min_size=3,
+                                                max_size=3)))
+    for m in (mid, low, high):
+        assert ring.eq(series.coeff(m), want(m))
+    again = series.window_coeffs(region)
+    assert all(ring.eq(c, want(m)) for m, c in again.items())
+
+
+def test_prefix_pass_reads_each_leaf_point_once_and_reuses_the_memos():
+    R = IntRing()
+    reads = []
+    leaf = from_function(nat(), R, ALL, lambda m: reads.append(m) or 1)
+    series = leaf * geometric(R) * leaf  # the leaf is read through two factors
+    m = 300
+    assert series.coeff(m) == comb(m + 2, 2)
+    assert sorted(reads) == list(range(m + 1))
+    reads.clear()
+    assert series.coeff(m // 2) == comb(m // 2 + 2, 2)
+    assert reads == []
+
+
+def generic_convolve(monoid, ring, f, g):
+    """Table products through the ring's own add and mul."""
+    out = {}
+    for x, a in f.items():
+        for y, b in g.items():
+            m = monoid.product(x, y)
+            if m is not None:
+                c = ring.mul(a, b)
+                out[m] = ring.add(out[m], c) if m in out else c
+    return out
+
+
+def test_integer_table_products_keep_zero_entries_in_order(rng):
+    R = IntRing()
+    product = from_terms(nat(), R, [(0, 1), (1, 1)]) * from_terms(nat(), R, [(0, 1), (1, -1)])
+    assert 1 in product.support
+    assert product.window_coeffs(2) == {0: 1, 1: 0, 2: -1}
+    assert list(_convolve(nat(), R, {0: 1, 1: 1}, {0: 1, 1: -1}).items()) == \
+        [(0, 1), (1, 0), (2, -1)]
+    for monoid in (nat(), truncated(5), posnat_mul()):
+        for ring in (R, ModRing(7), Mat2Ring()):
+            for _ in range(20):
+                f, g = ({m: c for m, c in zip(rng.sample(element_pool(monoid), 4),
+                                              ring_samples(ring, rng))} for _ in range(2))
+                got = _convolve(monoid, ring, f, g)
+                assert list(got.items()) == list(generic_convolve(monoid, ring, f, g).items())
