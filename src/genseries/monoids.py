@@ -97,8 +97,13 @@ class Monoid:
         fiber.  A kernel runs on value lists over the prefix from the unit,
         which holds every fiber of its points; a family with one commutes,
         admits no infinite descriptor but ALL and has products that grow
-        with either factor."""
+        with either factor, and supplies ``cofactor_top``."""
         return None
+
+    def cofactor_top(self, x, top):
+        """In a family with a list kernel, the largest y with x * y <= top
+        (below the unit when there is none)."""
+        raise NotImplementedError
 
     def sort_key(self, x):
         raise NotImplementedError
@@ -293,6 +298,9 @@ class _NatMonoid(CatalogMonoid):
     def list_kernel(self, points):
         return _cauchy
 
+    def cofactor_top(self, x, top):
+        return top - x
+
 
 class _TruncMonoid(_NatMonoid):
     """``trunc``: {0..n} with addition undefined past n."""
@@ -349,6 +357,9 @@ class _PosNatMonoid(CatalogMonoid):
     def list_kernel(self, points):
         # a whole window 1..N; a single query sums its divisor pairs
         return _sieve if len(points) == max(points) else None
+
+    def cofactor_top(self, x, top):
+        return top // x
 
 
 class _GridMonoid(CatalogMonoid):

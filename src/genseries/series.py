@@ -35,9 +35,11 @@ and a Dirichlet sieve for a whole window on the positive naturals, while
 a single query there sums its divisor pairs; everywhere else fibers come
 from ``decompose_within``.  Where a list kernel runs, every fiber of a
 point up to the top lies in the prefix below it, so everything under the
-product is evaluated in one pass over that prefix, one value list per
-series (``_factor_lists``); a finite table there is multiplied entry by
-entry, never spread into a dense list.  Each series keeps its values in
+product is evaluated in one pass, one value list per series
+(``_factor_lists``), each on the prefix its parents need: a product with
+a finite table needs its other factor only up to the top moved back by
+the table's smallest element, and multiplies entry by entry, never
+spreading the table into a dense list.  Each series keeps its values in
 its memo, so repeated queries reuse work below the root, and leaves are
 read only at members of their support, once each.
 
@@ -218,10 +220,11 @@ def _evaluate(root: GenSeries, points) -> list:
     parents need and its memo lacks -- passes to its operands: a sum or a
     negation needs them at the same points, a product its factors on the
     fibers of its points.  Bottom-up, each node then computes its demand
-    into its memo.  Finite tables, memoized points and points outside an
-    operand's support end the descent, and so does a product of two
-    infinite factors that the monoid's list kernel runs for these points:
-    ``_factor_lists`` evaluates everything below it on a prefix.
+    into its memo, less the points a prefix pass has filled meanwhile.
+    Finite tables, memoized points and points outside an operand's support
+    end the descent, and so does a product of two infinite factors that
+    the monoid's list kernel runs for these points: ``_factor_lists``
+    evaluates everything below it on a prefix.
     """
     monoid, ring = root.monoid, root.ring
     zero = ring.zero
@@ -268,6 +271,10 @@ def _evaluate(root: GenSeries, points) -> list:
         if not wanted:
             continue
         memo = node._memo
+        if kernel is not None:  # a prefix pass may have filled some of them
+            wanted = [m for m in wanted if m not in memo]
+            if not wanted:
+                continue
         op, *operands = node._build
         if op == "leaf":
             fn = operands[0]
@@ -286,9 +293,9 @@ def _evaluate(root: GenSeries, points) -> list:
             continue
         plan = plans[node]
         if isinstance(plan, dict):
-            for m, pairs in plan.items():
+            for m in wanted:
                 total = zero
-                for a, b in pairs:
+                for a, b in plan[m]:
                     total = ring.add(total, ring.mul(fv[a], gv[b]))
                 memo[m] = total
         else:
@@ -304,59 +311,89 @@ def _factor_lists(product: GenSeries, top: int, kernel) -> tuple:
     as one value list indexed by element (zero below the unit).
 
     Every fiber of a prefix point lies in the prefix, so each infinite node
-    below the product is evaluated on the whole prefix, as one list, and
-    its values are written into its memo: leaves are read at each point
-    once, sums and negations go elementwise, a product of two infinite
-    nodes runs the kernel, and a product with a finite table adds each
-    entry times the other list, moved by its element.  A node whose memo
-    holds the whole prefix is read, and nothing below it is visited.  The
+    below the product is evaluated on a prefix of its own, as one list, and
+    its values are written into its memo.  Parents first, each node takes
+    the longest prefix its parents need: a sum, a negation or a product of
+    two infinite nodes needs its operands on its own prefix, a product with
+    a finite table needs the other factor only up to ``cofactor_top`` of
+    the table's smallest element, and an empty prefix is not evaluated.
+    Then, operands first, leaves are read at each point once, sums and
+    negations go elementwise, a product of two infinite nodes runs the
+    kernel, and a product with a finite table adds each entry times the
+    other list, moved by its element.  A node whose memo holds the whole
+    prefix unit..top is read, and nothing below it is visited.  The
     families with a list kernel admit no infinite support but ALL, so every
     prefix point is a support point.
     """
     monoid, ring = product.monoid, product.ring
     zero, unit = ring.zero, monoid.unit
     prefix = range(unit, top + 1)
-    lists = {}  # node -> its values over 0..top
+    lists = {}  # node -> its values over 0..its top, or longer
+    tabled = set()  # the products with a finite table that the walk reaches
 
-    def operands(node):  # what the walk descends into; a whole memo is read here
+    def operands(node):
         memo = node._memo
-        if memo and all(m in memo for m in prefix):
+        if memo and node is not product and all(m in memo for m in prefix):
             lists[node] = [zero] * unit + [memo[m] for m in prefix]
-            return []
-        return _infinite_operands(node)
+            return ()
+        found = _infinite_operands(node)
+        if len(found) == 1 and node._build[0] == "mul":
+            tabled.add(node)
+        return found
 
-    def column(f):  # a finite table has no list; it is densified only to be added
+    order = _post_order(product, operands)
+    if not tabled:  # every prefix is the product's
+        tops = dict.fromkeys(order, top)
+    else:
+        tops = {product: top}  # node -> the last point of its prefix
+        for node in reversed(order):  # parents first, so each top is whole when passed on
+            last = tops.get(node)
+            if last is None or node in lists:
+                continue
+            if node in tabled:
+                table = next(f._memo for f in node._build[1:] if _is_finite(f))
+                # its smallest element moves the other factor furthest
+                last = monoid.cofactor_top(min(table), last) if table else unit - 1
+            if last >= unit:
+                for f in _infinite_operands(node):
+                    tops[f] = max(tops.get(f, last), last)
+
+    def column(f, n):  # f's values over 0..n-1; a table is densified only to be added
         if f in lists:
-            return lists[f]
-        out = [zero] * (top + 1)
+            values = lists[f]
+            return values if len(values) == n else values[:n]
+        out = [zero] * n
         for m, c in f._memo.items():
-            if m <= top:
+            if m < n:
                 out[m] = c
         return out
 
-    for node in _post_order(product, operands)[:-1]:  # the product is its caller's
-        if node in lists:
+    for node in order[:-1]:  # the product is its caller's
+        last = tops.get(node)
+        if last is None or node in lists:
             continue
-        memo = node._memo
+        n = last + 1
         op, *args = node._build
         if op == "leaf":
-            fn = args[0]
-            values = [zero] * unit + [memo[m] if m in memo else fn(m) for m in prefix]
+            memo, fn = node._memo, args[0]
+            values = [zero] * unit + [memo[m] if m in memo else fn(m) for m in range(unit, n)]
         elif op == "neg":
-            values = list(map(ring.neg, lists[args[0]]))
+            values = list(map(ring.neg, column(args[0], n)))
         elif op == "add":
-            values = list(map(ring.add, column(args[0]), column(args[1])))
-        else:  # a finite factor has no list
+            values = list(map(ring.add, column(args[0], n), column(args[1], n)))
+        else:  # an operand with an empty prefix has no list, and is not read
             f, g = args
-            f_list, g_list = lists.get(f), lists.get(g)
-            if f_list is None:
-                values = _times_table(monoid, ring, f._memo, g_list, top, True)
-            elif g_list is None:
-                values = _times_table(monoid, ring, g._memo, f_list, top, False)
+            if node not in tabled:
+                f_list, g_list = lists[f], lists[g]
+                if len(f_list) != n or len(g_list) != n:  # a shared operand runs longer
+                    f_list, g_list = f_list[:n], g_list[:n]
+                values = _products(kernel, ring, f_list, g_list, range(n))
+            elif _is_finite(f):
+                values = _times_table(monoid, ring, f._memo, lists.get(g), last, True)
             else:
-                values = _products(kernel, ring, f_list, g_list, range(top + 1))
+                values = _times_table(monoid, ring, g._memo, lists.get(f), last, False)
         lists[node] = values
-        memo.update(zip(prefix, values[unit:]))
+        node._memo.update(zip(range(unit, n), values[unit:]))
     f, g = product._build[1:]
     return lists[f], lists[g]
 
@@ -399,20 +436,14 @@ def _convolve(monoid: Monoid, ring: Ring, f: dict, g: dict) -> dict:
     """Exact product of two finite tables; undefined monoid products drop out."""
     out = {}
     product = monoid.product  # table keys were checked when the tables were built
-    if isinstance(ring, IntRing):  # plain ints: the same keys, order and zero entries
-        get = out.get
-        for x, a in f.items():
-            for y, b in g.items():
-                m = product(x, y)
-                if m is not None:
-                    out[m] = get(m, 0) + a * b
-        return out
+    # plain ints skip the ring's methods; keys, order and zero entries are the same
+    add, mul = (operator.add, operator.mul) if isinstance(ring, IntRing) else (ring.add, ring.mul)
     for x, a in f.items():
         for y, b in g.items():
             m = product(x, y)
             if m is not None:
-                c = ring.mul(a, b)
-                out[m] = ring.add(out[m], c) if m in out else c
+                c = mul(a, b)
+                out[m] = add(out[m], c) if m in out else c
     return out
 
 

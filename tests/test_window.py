@@ -292,18 +292,21 @@ def materialize(shape, monoid, ring, rng):
     return (op, *(materialize(a, monoid, ring, rng) for a in args))
 
 
-def shared_tree(shapes, monoid, ring, seed):
-    """(twice * a) * left + right * (b * twice) + twice * c for shapes
-    (twice, left, right), lazy leaves a and b and a table c, where twice is
-    one subtree object: ``build`` builds it once, so one series is a
-    left and a right factor, below a list-kernel product and, through c,
-    outside one."""
+def shared_tree(shapes, monoid, ring, seed, order):
+    """The sum of (twice * a) * left, right * (b * twice) and twice * c, in
+    the given order of the three, for shapes (twice, left, right), lazy
+    leaves a and b and a table c, where twice is one subtree object:
+    ``build`` builds it once, so one series is a left and a right factor,
+    below a list-kernel product and, through c, outside one.  The order
+    decides which of them the evaluator reaches first."""
     rng = random.Random(seed)
     twice, left, right, a, b, c = (
         materialize(shape, monoid, ring, rng)
         for shape in (*shapes, ("lazy",), ("lazy",), ("table",)))
-    return ("add", ("add", ("mul", ("mul", twice, a), left), ("mul", right, ("mul", b, twice))),
-            ("mul", twice, c))
+    terms = [("mul", ("mul", twice, a), left), ("mul", right, ("mul", b, twice)),
+             ("mul", twice, c)]
+    first, second, third = (terms[i] for i in order)
+    return ("add", ("add", first, second), third)
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS, ids=repr)
@@ -311,19 +314,19 @@ def shared_tree(shapes, monoid, ring, seed):
                          ids=lambda m: m.describe())
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(trees=st.tuples(shapes(), shapes(), shapes()), seed=st.integers(0, 10 ** 6),
-       region=st.integers(1, 9), data=st.data())
-def test_prefix_pass_matches_the_brute_force_reference(trees, monoid, ring, seed, region,
-                                                       data):
-    want = reference(shared_tree(trees, monoid, ring, seed), monoid, ring, region)
+       order=st.permutations(range(3)), region=st.integers(1, 9), data=st.data())
+def test_prefix_pass_matches_the_brute_force_reference(trees, monoid, ring, seed, order,
+                                                       region, data):
+    want = reference(shared_tree(trees, monoid, ring, seed, order), monoid, ring, region)
     points = monoid.window(region)
 
-    got = build(shared_tree(trees, monoid, ring, seed)).window_coeffs(region)
+    got = build(shared_tree(trees, monoid, ring, seed, order)).window_coeffs(region)
     assert all(ring.eq(c, want(m)) for m, c in got.items())
     assert all(m in got for m in points if not ring.is_zero(want(m)))
 
     # single queries at a high point, a lower one and a higher one, then the
     # window over the memos they left
-    series = build(shared_tree(trees, monoid, ring, seed))
+    series = build(shared_tree(trees, monoid, ring, seed, order))
     low, mid, high = sorted(data.draw(st.lists(st.sampled_from(points), min_size=3,
                                                 max_size=3)))
     for m in (mid, low, high):
@@ -343,6 +346,76 @@ def test_prefix_pass_reads_each_leaf_point_once_and_reuses_the_memos():
     reads.clear()
     assert series.coeff(m // 2) == comb(m // 2 + 2, 2)
     assert reads == []
+
+
+@pytest.mark.parametrize("table_first", [True, False])
+def test_a_product_whose_prefix_another_pass_filled_is_read(table_first):
+    R = IntRing()
+
+    def expression():
+        # p * T reaches p through the generic walk, p * g fills p's memo on
+        # its own prefix pass
+        g = geometric(R)
+        p = g * g
+        left, right = p * from_terms(nat(), R, [(1, 1)]), p * g
+        return left + right if table_first else right + left
+
+    # p * T has coefficients comb(m + 1, 1) at m >= 1, p * g comb(m + 2, 2)
+    want = {m: (m if m else 0) + comb(m + 2, 2) for m in range(5)}
+    assert expression().coeff(3) == want[3]
+    assert expression().window_coeffs(4) == want
+    series = expression()
+    assert [series.coeff(m) for m in (3, 1, 4)] == [want[3], want[1], want[4]]
+
+
+def test_table_products_below_a_list_kernel_read_their_factor_only_where_needed():
+    R = IntRing()
+
+    def counting(monoid):
+        reads = []
+        return from_function(monoid, R, ALL, lambda m: reads.append(m) or 1), reads
+
+    leaf, reads = counting(nat())
+    t50 = from_terms(nat(), R, [(50, 1)])
+    assert ((t50 * leaf) * geometric(R)).coeff(53) == 4
+    assert sorted(reads) == [0, 1, 2, 3]
+
+    # a list-kernel product there runs on the short prefix too
+    leaf, reads = counting(nat())
+    assert ((t50 * (geometric(R) * leaf)) * geometric(R)).coeff(53) == comb(5, 2)
+    assert sorted(reads) == [0, 1, 2, 3]
+
+    # on posnat-mul a table whose smallest element is 5 needs the other
+    # factor only up to top // 5
+    counted, reads = counting(posnat_mul())
+    t5 = from_terms(posnat_mul(), R, [(5, 1), (7, 1)])
+    got = ((t5 * counted) * zeta(R)).window_coeffs(12)
+    assert got == {m: sum(1 for d in (5, 7) if m % d == 0 for _ in range(sum(
+        1 for e in range(1, m // d + 1) if (m // d) % e == 0))) for m in range(1, 13)}
+    assert sorted(reads) == [1, 2]
+
+
+@pytest.mark.parametrize("table_first", [True, False])
+def test_a_series_beside_a_table_product_and_below_it_takes_the_longer_prefix(table_first):
+    R = IntRing()
+    reads = []
+    leaf = from_function(nat(), R, ALL, lambda m: reads.append(m) or 1)
+    # the leaf is needed up to m beside the table, and up to m - 3 below it,
+    # where a list-kernel product runs on the shorter prefix
+    shifted = from_terms(nat(), R, [(3, 1)]) * (geometric(R) * leaf)
+    inner = shifted + leaf if table_first else leaf + shifted
+    m = 12
+    want = sum(1 + (i - 2 if i >= 3 else 0) for i in range(m + 1))
+    assert (inner * geometric(R)).coeff(m) == want
+    assert sorted(reads) == list(range(m + 1))
+
+
+def test_a_leaf_read_by_a_prefix_pass_is_not_read_again():
+    R = IntRing()
+    reads = []
+    leaf = from_function(nat(), R, ALL, lambda m: reads.append(m) or 1)
+    assert (leaf + leaf * geometric(R)).coeff(40) == 42
+    assert sorted(reads) == list(range(41))
 
 
 def generic_convolve(monoid, ring, f, g):
