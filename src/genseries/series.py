@@ -26,22 +26,23 @@ series are computed when they are built), so its support is exactly the
 table's keys.  All other coefficients come from one evaluator,
 ``_evaluate``, behind ``coeff``, ``window_coeffs`` (and so ``terms_on``
 and ``render``), ``agree_on`` and ``is_zero_on``.  It walks the build
-record iteratively, so chain depth costs no stack, and it asks each
-operand only for the points its parents need: a product needs its factors
-on the fibers of its points.  The monoid's family picks how a product of
-two infinite factors is computed (``Monoid.list_kernel``): a Cauchy
-product over lists on the additive naturals, one dot product per point,
-and a Dirichlet sieve for a whole window on the positive naturals, while
-a single query there sums its divisor pairs; everywhere else fibers come
+record once, iteratively, so chain depth costs no stack, and it asks each
+operand only for what its parents need: a product needs its factors on
+the fibers of its points.  The monoid's family picks how a product of two
+infinite factors is computed (``Monoid.list_kernel``): a Cauchy product
+over lists on the additive naturals, one dot product per point, and a
+Dirichlet sieve for a whole window on the positive naturals, while a
+single query there sums its divisor pairs; everywhere else fibers come
 from ``decompose_within``.  Where a list kernel runs, every fiber of a
-point up to the top lies in the prefix below it, so everything under the
-product is evaluated in one pass, one value list per series
-(``_factor_lists``), each on the prefix its parents need: a product with
-a finite table needs its other factor only up to the top moved back by
-the table's smallest element, and multiplies entry by entry, never
-spreading the table into a dense list.  Each series keeps its values in
-its memo, so repeated queries reuse work below the root, and leaves are
-read only at members of their support, once each.
+point lies in the prefix below it, so such a product needs its factors on
+a prefix, and each series below it is evaluated there as one value list,
+on the longest prefix its parents need: a product with a finite table
+needs its other factor only up to the top moved back by the table's
+smallest element, and multiplies entry by entry, never spreading the
+table into a dense list.  A series needed at a point above its prefix
+computes that point alone.  Each series keeps its values in its memo, so
+repeated queries reuse work below the root, and leaves are read only at
+members of their support, once each.
 
 Checks run at the boundary, not in the evaluator: ``from_terms`` checks
 every element and coefficient, ``from_function`` admits its support and
@@ -177,10 +178,10 @@ class GenSeries:
 
 
 def _check_compatible(f: GenSeries, g: GenSeries):
-    if f.monoid != g.monoid:
+    if f.monoid is not g.monoid and f.monoid != g.monoid:
         raise InputError(
             f"series monoids differ: {f.monoid.describe()} vs {g.monoid.describe()}")
-    if f.ring != g.ring:
+    if f.ring is not g.ring and f.ring != g.ring:
         raise InputError(f"series rings differ: {f.ring!r} vs {g.ring!r}")
 
 
@@ -192,9 +193,9 @@ def _is_finite(series: GenSeries) -> bool:
 # evaluation
 
 
-def _post_order(root: GenSeries, operands) -> list:
-    """root and the nodes below it that ``operands(node)`` reaches, each
-    once, operands before the nodes that use them."""
+def _post_order(root: GenSeries) -> list:
+    """root and the infinite series below it, each once, operands before the
+    nodes that use them."""
     order, seen, stack = [], set(), [(root, False)]
     while stack:  # iterative, so chain depth costs no stack
         node, expanded = stack.pop()
@@ -203,32 +204,36 @@ def _post_order(root: GenSeries, operands) -> list:
         elif node not in seen:
             seen.add(node)
             stack.append((node, True))
-            stack += [(f, False) for f in operands(node)]
+            build = node._build
+            if build[0] != "leaf":
+                stack += [(f, False) for f in build[1:] if not _is_finite(f)]
     return order
-
-
-def _infinite_operands(node: GenSeries) -> list:
-    build = node._build
-    return [] if build[0] == "leaf" else [f for f in build[1:] if not _is_finite(f)]
 
 
 def _evaluate(root: GenSeries, points) -> list:
     """root's coefficients at carrier elements that the caller has validated.
 
-    Values are computed into the memos of root and the series below it.
-    Top-down, each node's demand -- the members of its support that its
-    parents need and its memo lacks -- passes to its operands: a sum or a
-    negation needs them at the same points, a product its factors on the
-    fibers of its points.  Bottom-up, each node then computes its demand
-    into its memo, less the points a prefix pass has filled meanwhile.
-    Finite tables, memoized points and points outside an operand's support
-    end the descent, and so does a product of two infinite factors that
-    the monoid's list kernel runs for these points: ``_factor_lists``
-    evaluates everything below it on a prefix.
+    Values are computed into the memos of root and the infinite series below
+    it, in one walk: parents first, each node's demand passes to its
+    operands; then, operands first, each node computes its demand.  A demand
+    is a set of points -- members of the support that the memo lacks -- and,
+    where the monoid's list kernel runs, a prefix unit..top as well, computed
+    as one value list indexed by element (zero below the unit).  A node drops
+    the points its prefix holds, and a memo that holds the whole prefix is
+    read.  A sum or a negation needs its operands on its own points and
+    prefix.  A product of two infinite series that the kernel runs needs both
+    factors on the prefix up to its last point, and runs the kernel there.
+    Any other product needs its factors on the fibers of its points; a
+    product with a finite table needs its other factor on its prefix only up
+    to ``cofactor_top`` of the table's smallest element, and multiplies entry
+    by entry.  A point above a prefix stays a point: the prefix is not
+    widened to reach it.  The families with a list kernel admit no infinite
+    support but ALL, so every prefix point is a support point.
     """
     monoid, ring = root.monoid, root.ring
-    zero = ring.zero
+    zero, unit = ring.zero, monoid.unit
     need = {}  # node -> the points to compute
+    tops = {}  # node -> the last point of its prefix
 
     def demand(node, pts):
         if _is_finite(node):
@@ -240,42 +245,101 @@ def _evaluate(root: GenSeries, points) -> list:
             need.setdefault(node, set()).update(new)
 
     demand(root, points)
+    order = _post_order(root) if need else []
     kernel = monoid.list_kernel(points) if need else None
-
-    def by_kernel(node):
-        op, *operands = node._build
-        return kernel is not None and op == "mul" and not any(map(_is_finite, operands))
-
-    order = _post_order(root, lambda node: [] if by_kernel(node)
-                        else _infinite_operands(node)) if need else []
-    plans = {}  # product node -> the list kernel, or its fibers {m: pairs}
+    kernels = set()  # the products of two infinite series that the kernel runs
+    plans = {}  # other product -> the fibers {m: pairs} of its points
+    lists = {}  # node -> its values over 0..its top, or further
     for node in reversed(order):  # parents first, so each demand is whole when passed on
-        wanted = need.get(node)
-        op, *operands = node._build
-        if not wanted or op == "leaf":
+        wanted, top = need.get(node), tops.get(node)
+        if top is not None:
+            if wanted:
+                wanted = need[node] = {m for m in wanted if m > top}
+            memo = node._memo
+            if memo and all(m in memo for m in range(unit, top + 1)):
+                lists[node] = [zero] * unit + [memo[m] for m in range(unit, top + 1)]
+                del tops[node]
+                top = None
+        if not wanted and top is None:
             continue
-        if by_kernel(node):
-            plans[node] = kernel
-        elif op == "mul":
+        op, *operands = node._build
+        if op == "leaf":
+            continue
+        if op == "mul":
             f, g = operands
-            fibers = plans[node] = {m: monoid.decompose_within(m, f.support, g.support)
-                                    for m in wanted}
-            demand(f, [a for pairs in fibers.values() for a, _ in pairs])
-            demand(g, [b for pairs in fibers.values() for _, b in pairs])
-        else:
-            for f in operands:
-                demand(f, wanted)
+            if kernel is not None and not (_is_finite(f) or _is_finite(g)):
+                kernels.add(node)
+                last = max(wanted) if wanted else top  # points lie above the prefix
+                for h in operands:
+                    if tops.get(h, unit - 1) < last:
+                        tops[h] = last
+                continue
+            if wanted:
+                fibers = plans[node] = {m: monoid.decompose_within(m, f.support, g.support)
+                                        for m in wanted}
+                demand(f, [a for pairs in fibers.values() for a, _ in pairs])
+                demand(g, [b for pairs in fibers.values() for _, b in pairs])
+            if top is not None:
+                table, h = (f._memo, g) if _is_finite(f) else (g._memo, f)
+                # the table's smallest element moves the other factor furthest
+                last = monoid.cofactor_top(min(table), top) if table else unit - 1
+                if tops.get(h, unit - 1) < last:
+                    tops[h] = last
+            continue
+        for h in operands:
+            if wanted:
+                demand(h, wanted)
+            if top is not None and tops.get(h, unit - 1) < top:
+                tops[h] = top
+
+    def column(f, n):  # f's values over 0..n-1; a table is densified only to be added
+        if f in lists:
+            values = lists[f]
+            return values if len(values) == n else values[:n]
+        out = [zero] * n
+        for m, c in f._memo.items():
+            if m < n:
+                out[m] = c
+        return out
 
     for node in order:
-        wanted = need.get(node)
-        if not wanted:
+        wanted, top = need.get(node), tops.get(node)
+        if not wanted and top is None:
             continue
         memo = node._memo
-        if kernel is not None:  # a prefix pass may have filled some of them
-            wanted = [m for m in wanted if m not in memo]
+        op, *operands = node._build
+        if node in kernels:  # the prefix and the points in one run
+            ks = list(range(unit, top + 1)) if top is not None else []
+            ks += wanted or ()
+            n = max(ks) + 1
+            f_list, g_list = lists[operands[0]], lists[operands[1]]
+            if len(f_list) != n or len(g_list) != n:  # a shared operand runs longer
+                f_list, g_list = f_list[:n], g_list[:n]
+            values = _products(kernel, ring, f_list, g_list, ks)
+            memo.update(zip(ks, values))
+            if top is not None:
+                lists[node] = [zero] * unit + values[:top + 1 - unit]
+            continue
+        if top is not None:
+            n = top + 1
+            if op == "leaf":
+                fn = operands[0]
+                values = [zero] * unit + [memo[m] if m in memo else fn(m)
+                                          for m in range(unit, n)]
+            elif op == "neg":
+                values = list(map(ring.neg, column(operands[0], n)))
+            elif op == "add":
+                values = list(map(ring.add, column(operands[0], n), column(operands[1], n)))
+            else:  # an operand with an empty prefix has no list, and is not read
+                f, g = operands
+                if _is_finite(f):
+                    values = _times_table(monoid, ring, f._memo, lists.get(g), top, True)
+                else:
+                    values = _times_table(monoid, ring, g._memo, lists.get(f), top, False)
+            lists[node] = values
+            memo.update(zip(range(unit, n), values[unit:]))
             if not wanted:
                 continue
-        op, *operands = node._build
         if op == "leaf":
             fn = operands[0]
             for m in wanted:
@@ -291,111 +355,14 @@ def _evaluate(root: GenSeries, points) -> list:
             for m in wanted:
                 memo[m] = ring.add(fv.get(m, zero), gv.get(m, zero))
             continue
-        plan = plans[node]
-        if isinstance(plan, dict):
-            for m in wanted:
-                total = zero
-                for a, b in plan[m]:
-                    total = ring.add(total, ring.mul(fv[a], gv[b]))
-                memo[m] = total
-        else:
-            ks = list(wanted)
-            f_list, g_list = _factor_lists(node, max(ks), plan)
-            memo.update(zip(ks, _products(plan, ring, f_list, g_list, ks)))
+        fibers = plans[node]
+        for m in wanted:
+            total = zero
+            for a, b in fibers[m]:
+                total = ring.add(total, ring.mul(fv[a], gv[b]))
+            memo[m] = total
     memo = root._memo
     return [memo.get(m, zero) for m in points]
-
-
-def _factor_lists(product: GenSeries, top: int, kernel) -> tuple:
-    """The two factors of a list-kernel product on the prefix unit..top, each
-    as one value list indexed by element (zero below the unit).
-
-    Every fiber of a prefix point lies in the prefix, so each infinite node
-    below the product is evaluated on a prefix of its own, as one list, and
-    its values are written into its memo.  Parents first, each node takes
-    the longest prefix its parents need: a sum, a negation or a product of
-    two infinite nodes needs its operands on its own prefix, a product with
-    a finite table needs the other factor only up to ``cofactor_top`` of
-    the table's smallest element, and an empty prefix is not evaluated.
-    Then, operands first, leaves are read at each point once, sums and
-    negations go elementwise, a product of two infinite nodes runs the
-    kernel, and a product with a finite table adds each entry times the
-    other list, moved by its element.  A node whose memo holds the whole
-    prefix unit..top is read, and nothing below it is visited.  The
-    families with a list kernel admit no infinite support but ALL, so every
-    prefix point is a support point.
-    """
-    monoid, ring = product.monoid, product.ring
-    zero, unit = ring.zero, monoid.unit
-    prefix = range(unit, top + 1)
-    lists = {}  # node -> its values over 0..its top, or longer
-    tabled = set()  # the products with a finite table that the walk reaches
-
-    def operands(node):
-        memo = node._memo
-        if memo and node is not product and all(m in memo for m in prefix):
-            lists[node] = [zero] * unit + [memo[m] for m in prefix]
-            return ()
-        found = _infinite_operands(node)
-        if len(found) == 1 and node._build[0] == "mul":
-            tabled.add(node)
-        return found
-
-    order = _post_order(product, operands)
-    if not tabled:  # every prefix is the product's
-        tops = dict.fromkeys(order, top)
-    else:
-        tops = {product: top}  # node -> the last point of its prefix
-        for node in reversed(order):  # parents first, so each top is whole when passed on
-            last = tops.get(node)
-            if last is None or node in lists:
-                continue
-            if node in tabled:
-                table = next(f._memo for f in node._build[1:] if _is_finite(f))
-                # its smallest element moves the other factor furthest
-                last = monoid.cofactor_top(min(table), last) if table else unit - 1
-            if last >= unit:
-                for f in _infinite_operands(node):
-                    tops[f] = max(tops.get(f, last), last)
-
-    def column(f, n):  # f's values over 0..n-1; a table is densified only to be added
-        if f in lists:
-            values = lists[f]
-            return values if len(values) == n else values[:n]
-        out = [zero] * n
-        for m, c in f._memo.items():
-            if m < n:
-                out[m] = c
-        return out
-
-    for node in order[:-1]:  # the product is its caller's
-        last = tops.get(node)
-        if last is None or node in lists:
-            continue
-        n = last + 1
-        op, *args = node._build
-        if op == "leaf":
-            memo, fn = node._memo, args[0]
-            values = [zero] * unit + [memo[m] if m in memo else fn(m) for m in range(unit, n)]
-        elif op == "neg":
-            values = list(map(ring.neg, column(args[0], n)))
-        elif op == "add":
-            values = list(map(ring.add, column(args[0], n), column(args[1], n)))
-        else:  # an operand with an empty prefix has no list, and is not read
-            f, g = args
-            if node not in tabled:
-                f_list, g_list = lists[f], lists[g]
-                if len(f_list) != n or len(g_list) != n:  # a shared operand runs longer
-                    f_list, g_list = f_list[:n], g_list[:n]
-                values = _products(kernel, ring, f_list, g_list, range(n))
-            elif _is_finite(f):
-                values = _times_table(monoid, ring, f._memo, lists.get(g), last, True)
-            else:
-                values = _times_table(monoid, ring, g._memo, lists.get(f), last, False)
-        lists[node] = values
-        node._memo.update(zip(range(unit, n), values[unit:]))
-    f, g = product._build[1:]
-    return lists[f], lists[g]
 
 
 def _times_table(monoid: Monoid, ring: Ring, table: dict, values: list, top: int,

@@ -418,6 +418,19 @@ def test_a_leaf_read_by_a_prefix_pass_is_not_read_again():
     assert sorted(reads) == list(range(41))
 
 
+@pytest.mark.parametrize("table_first", [True, False])
+def test_a_series_needed_on_a_prefix_and_above_it_keeps_the_point_sparse(table_first):
+    R = IntRing()
+    reads = []
+    leaf = from_function(nat(), R, ALL, lambda m: reads.append(m) or 1)
+    n = 10 ** 5
+    # the leaf is needed on 0..5 below the table and at n + 5 beside it
+    shifted = from_terms(nat(), R, [(n, 1)]) * (leaf * geometric(R))
+    series = shifted + leaf if table_first else leaf + shifted
+    assert series.coeff(n + 5) == 7
+    assert sorted(reads) == [0, 1, 2, 3, 4, 5, n + 5]
+
+
 def generic_convolve(monoid, ring, f, g):
     """Table products through the ring's own add and mul."""
     out = {}
