@@ -40,7 +40,7 @@ from .posets import (FinitePomonoid, FinitePoset, classify_subset,
                      is_strict_pomonoid, largest_antichain, longest_chain,
                      poset_violations, relation_from_json)
 from .rings import Ring, ring_from_spec
-from .series import GenSeries, from_terms, geometric, moebius, zeta
+from .series import GenSeries, from_terms, geometric, moebius, power, zeta
 from .selftest import run_selftest
 
 # ---------------------------------------------------------------------------
@@ -84,6 +84,7 @@ class _ExprParser:
         self.monoid = monoid
         self.ring = ring
         self.window = window
+        self.builtins = {}  # name -> the one series it reads as in this expression
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -124,10 +125,19 @@ class _ExprParser:
                 return acc
 
     def term(self) -> GenSeries:
-        acc = self.unary()
-        while self.accept("*"):
-            acc = acc * self.unary()
-        return acc
+        # adjacent reads of one builtin are one series: a run of k is its power
+        acc, factor, k = None, self.unary(), 1
+        while True:
+            more = self.accept("*")
+            f = self.unary() if more else None
+            if f is factor:
+                k += 1
+                continue
+            run = factor if k == 1 else power(factor, k)
+            acc = run if acc is None else acc * run
+            if not more:
+                return acc
+            factor, k = f, 1
 
     def nested(self, parse) -> GenSeries:
         """parse() one nesting level deeper, within the cap."""
@@ -186,6 +196,13 @@ class _ExprParser:
         return element
 
     def builtin(self, name: str) -> GenSeries:
+        """The series a builtin name reads as, built and checked at its first
+        read in the expression."""
+        if name not in self.builtins:
+            self.builtins[name] = self.build_builtin(name)
+        return self.builtins[name]
+
+    def build_builtin(self, name: str) -> GenSeries:
         if name == "geometric":
             if self.monoid != nat():
                 raise InputError("geometric is a series over the naturals")

@@ -130,14 +130,8 @@ class RationalRing(Ring):
     """
 
     name = "rational"
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)  # immutable, so one instance serves every caller
+    one = Fraction(1)
 
     def add(self, a, b):
         return a + b

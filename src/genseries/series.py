@@ -19,6 +19,10 @@ series is undecidable; the honest surrogate is ``agree_on``, which
 compares coefficients at the support elements in a finite window, the
 points ``render`` shows (outside a support every coefficient is zero).
 
+``power(f, k)`` is f^k by repeated squaring, in about 2·log2(k) products;
+the expression parser raises a run of one repeated factor to its length
+this way.
+
 Every series records how it was built: a finite table, a leaf function,
 or ``add``/``neg``/``mul`` of other series.  A finite series holds its
 whole table from construction on (sums, negations and products of finite
@@ -63,7 +67,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .catalog import ALL, All, FiniteSet, finite
+from .catalog import ALL, All, FiniteSet, _is_int, finite
 from .errors import InputError, SizeBoundError
 from .monoids import Monoid, nat, posnat_mul
 from .rings import IntRing, RationalRing, Ring
@@ -175,6 +179,22 @@ class GenSeries:
 
     def __repr__(self):
         return f"<series over {self.monoid.describe()} / {self.ring!r}>"
+
+
+def power(f: GenSeries, k: int) -> GenSeries:
+    """f^k for k >= 1 by repeated squaring: about 2·log2(k) products, not
+    k - 1.  Every operand is a power of f, and powers of one element commute,
+    so the result is exact on noncommutative rings too."""
+    if not _is_int(k) or k < 1:
+        raise InputError(f"power needs an integer exponent of at least 1, got {k!r}")
+    out = None
+    while True:
+        if k & 1:
+            out = f if out is None else out * f
+        k >>= 1
+        if not k:
+            return out
+        f = f * f
 
 
 def _check_compatible(f: GenSeries, g: GenSeries):

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genseries import (ALL, GridTail, IntRing, Mat2Ring, ModRing, TailGE,
-                       catalog_monoids, from_function, from_terms, geometric,
-                       moebius, nat, posnat_mul, truncated, zeta)
-from genseries.cli import main
-from genseries.series import _convolve
+from genseries import (ALL, GridTail, InputError, IntRing, Mat2Ring, ModRing, TailGE,
+                       catalog_monoids, free_words, from_function, from_terms,
+                       geometric, moebius, nat, posnat_mul, truncated, zeta)
+from genseries.cli import eval_expression, main
+from genseries.series import _convolve, _post_order, power
 
 import oracles
 from conftest import ALL_RINGS, element_pool, random_series, ring_samples
@@ -245,6 +245,99 @@ def test_long_product_chain_renders_without_recursion(capsys):
 def test_long_chains_answer_single_queries(k):
     series = reduce(operator.mul, [geometric(IntRing()) for _ in range(k)])
     assert [series.coeff(m) for m in (3, 0, 2)] == [comb(m + k - 1, k - 1) for m in (3, 0, 2)]
+
+
+def test_long_chain_of_distinct_factors_renders_without_recursion(capsys):
+    # no two adjacent factors are one series, so the chain stays left-deep
+    chain = " * ".join(["geometric", "(1 + T)"] * 300)
+    assert len(_post_order(eval_expression(chain, nat(), IntRing(), 3))) == 600
+    code = main(["series-eval", "--monoid", "nat", "--ring", "int", "--expr", chain,
+                 "--window", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    values = [1, 0, 0, 0]
+    for factor in [[1, 1, 1, 1], [1, 1, 0, 0]] * 300:
+        values = [sum(values[i] * factor[m - i] for i in range(m + 1)) for m in range(4)]
+    assert out == " + ".join(str(c) if m == 0 else f"{c}·T^{m}"
+                             for m, c in enumerate(values)) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# powers by repeated squaring, and the parser's runs of one builtin
+
+
+def power_bases(monoid, ring, rng):
+    """Series to raise to powers: random series (lazy ones where the carrier
+    admits an infinite support), a finite table and, on mat2, a lazy leaf
+    whose values do not commute with each other."""
+    pool = element_pool(monoid)
+    picks = rng.sample(pool, min(3, len(pool)))
+    bases = [random_series(monoid, ring, rng) for _ in range(3)]
+    bases.append(from_terms(monoid, ring, list(zip(picks, ring_samples(ring, rng, len(picks))))))
+    if isinstance(ring, Mat2Ring) and monoid.admits(ALL):
+        bases.append(from_function(monoid, ring, ALL, lambda m: (
+            1, len(repr(m)) % 3 - 1, sum(map(ord, repr(m))) % 5 - 2, 2)))
+    return bases
+
+
+def assert_same_window(f, g, region):
+    got, want = f.window_coeffs(region), g.window_coeffs(region)
+    assert got.keys() == want.keys()
+    assert all(f.ring.eq(got[m], want[m]) for m in want), (got, want)
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=repr)
+@pytest.mark.parametrize("monoid", catalog_monoids(), ids=lambda m: m.describe())
+def test_power_is_the_left_fold(monoid, ring, rng):
+    region = {"free-words": 1, "rational-grid": 0}.get(monoid.carrier.name, 3)
+    for f in power_bases(monoid, ring, rng):
+        # a product of two grid tails is bounded on the grid of the product of
+        # their denominators, so a power's grid, and its cost, grow
+        # geometrically in k
+        for k in range(1, 7 if isinstance(f.support, GridTail) else 10):
+            assert_same_window(power(f, k), reduce(operator.mul, [f] * k), region)
+
+
+def test_power_on_a_noncommutative_group(rng):
+    monoid, labels = _symmetric_group_monoid()
+    ring = Mat2Ring()
+    f = from_terms(monoid, ring, list(zip(labels[1:4], ring_samples(ring, rng, 3))))
+    for k in range(1, 10):
+        assert_same_window(power(f, k), reduce(operator.mul, [f] * k), 0)
+
+
+@pytest.mark.parametrize("k", [0, -1, -8, 2.0, True])
+def test_power_needs_a_positive_integer_exponent(k):
+    with pytest.raises(InputError):
+        power(geometric(IntRing()), k)
+
+
+def test_a_builtin_is_one_series_per_expression():
+    for text, monoid in [("geometric + geometric", nat()), ("zeta * zeta", posnat_mul()),
+                         ("moebius + (moebius)", posnat_mul())]:
+        _, f, g = eval_expression(text, monoid, IntRing(), 5)._build
+        assert f is g and f._build[0] == "leaf", text
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 255, 256, 600, 1365, 2000])
+def test_a_chain_of_one_builtin_is_a_power(k):
+    series = eval_expression(" * ".join(["geometric"] * k), nat(), IntRing(), 3)
+    assert len(_post_order(series)) - 1 <= 2 * k.bit_length()
+    assert [series.coeff(m) for m in (3, 0, 2)] == [comb(m + k - 1, k - 1) for m in (3, 0, 2)]
+
+
+def test_runs_keep_their_order_among_other_factors():
+    R = IntRing()
+    series = eval_expression("geometric * T * geometric * geometric", nat(), R, 8)
+    op, left, squared = series._build
+    g = squared._build[1]
+    assert op == "mul" and squared._build == ("mul", g, g) and g._build[0] == "leaf"
+    assert left._build[1] is g and left._build[2]._memo == {1: 1}
+    fold = reduce(operator.mul, [geometric(R), from_terms(nat(), R, [(1, 1)]),
+                                 geometric(R), geometric(R)])
+    assert_same_window(series, fold, 8)
+    words = eval_expression("T^x * T^y * T^y * (T^x + T^y) * T^x", free_words("xy"), R, 5)
+    assert words.render(5) == "1·xyyxx + 1·xyyyx"
 
 
 def test_single_queries_read_their_operands_only_on_fibers():
