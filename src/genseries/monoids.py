@@ -32,13 +32,14 @@ tested invariant, not a definition, so the two routes stay independent.
 The ``Monoid`` methods are the boundary: ``mul``, ``member``,
 ``decompose_within``, the bounds and ``enumerate_desc`` check their
 elements and admit their descriptors, once per call.  Inside them nothing
-is checked again: ``product`` multiplies checked elements,
-``enumerate_admitted`` lists the window of a descriptor already admitted
-(a series renders its own support through it), ``tail_mul_bound`` and
-``tail_union_bound`` bound admitted supports (series arithmetic runs
-them), and each family's ``_candidates`` yields exact, distinct
-factorizations, which ``decompose_within`` filters by the descriptors'
-own ``in``.
+is checked again: ``product`` multiplies checked elements, ``fiber``
+decomposes a checked element over admitted descriptors (series evaluation
+runs it per point), ``enumerate_admitted`` lists the window of a
+descriptor already admitted (a series renders its own support through
+it), ``tail_mul_bound`` and ``tail_union_bound`` bound admitted supports
+(series arithmetic runs them), and each family's ``_candidates`` yields
+exact, distinct factorizations, which ``fiber`` filters by the
+descriptors' own ``in``.
 """
 
 from __future__ import annotations
@@ -93,17 +94,11 @@ class Monoid:
 
     def list_kernel(self, points):
         """The list kernel for the products of two infinite series in a query
-        at ``points``, or None: then each point sums its ``decompose_within``
-        fiber.  A kernel runs on value lists over the prefix from the unit,
-        which holds every fiber of its points; a family with one commutes,
-        admits no infinite descriptor but ALL and has products that grow
-        with either factor, and supplies ``cofactor_top``."""
+        at ``points``, or None: then each point sums its fiber.  A kernel runs
+        on value lists over the prefix from the unit, which holds every fiber
+        of its points; a family with one commutes and admits no infinite
+        descriptor but ALL."""
         return None
-
-    def cofactor_top(self, x, top):
-        """In a family with a list kernel, the largest y with x * y <= top
-        (below the unit when there is none)."""
-        raise NotImplementedError
 
     def sort_key(self, x):
         raise NotImplementedError
@@ -147,12 +142,17 @@ class Monoid:
         self.require_admitted(s)
         self.require_admitted(t)
         self.check_element(m)
+        return self.fiber(m, s, t)
+
+    def fiber(self, m, s: Descriptor, t: Descriptor) -> list:
+        """``decompose_within`` of a checked element and admitted descriptors:
+        the trusted step that series evaluation runs per point."""
         pairs = [(a, b) for a, b in self._candidates(m, s, t) if a in s and b in t]
         return sorted(pairs, key=lambda p: (self.sort_key(p[0]), self.sort_key(p[1])))
 
     def _candidates(self, m, s, t):
         """Distinct pairs of elements whose product is m, covering every such
-        pair in s x t; ``decompose_within`` keeps those in s x t."""
+        pair in s x t; ``fiber`` keeps those in s x t."""
         raise NotImplementedError
 
     def mul_bound(self, s: Descriptor, t: Descriptor) -> Descriptor:
@@ -298,9 +298,6 @@ class _NatMonoid(CatalogMonoid):
     def list_kernel(self, points):
         return _cauchy
 
-    def cofactor_top(self, x, top):
-        return top - x
-
 
 class _TruncMonoid(_NatMonoid):
     """``trunc``: {0..n} with addition undefined past n."""
@@ -349,6 +346,11 @@ class _PosNatMonoid(CatalogMonoid):
     product = staticmethod(operator.mul)
 
     def _candidates(self, m, s, t):
+        # over a finite side; only its divisors of m are factors of m
+        if isinstance(s, FiniteSet):
+            return [(x, m // x) for x in s.elements if m % x == 0]
+        if isinstance(t, FiniteSet):
+            return [(m // y, y) for y in t.elements if m % y == 0]
         return [(d, m // d) for d in _divisors(m)]
 
     def _window(self, region):
@@ -357,9 +359,6 @@ class _PosNatMonoid(CatalogMonoid):
     def list_kernel(self, points):
         # a whole window 1..N; a single query sums its divisor pairs
         return _sieve if len(points) == max(points) else None
-
-    def cofactor_top(self, x, top):
-        return top // x
 
 
 class _GridMonoid(CatalogMonoid):

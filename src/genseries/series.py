@@ -37,16 +37,15 @@ infinite factors is computed (``Monoid.list_kernel``): a Cauchy product
 over lists on the additive naturals, one dot product per point, and a
 Dirichlet sieve for a whole window on the positive naturals, while a
 single query there sums its divisor pairs; everywhere else fibers come
-from ``decompose_within``.  Where a list kernel runs, every fiber of a
-point lies in the prefix below it, so such a product needs its factors on
-a prefix, and each series below it is evaluated there as one value list,
-on the longest prefix its parents need: a product with a finite table
-needs its other factor only up to the top moved back by the table's
-smallest element, and multiplies entry by entry, never spreading the
-table into a dense list.  A series needed at a point above its prefix
-computes that point alone.  Each series keeps its values in its memo, so
-repeated queries reuse work below the root, and leaves are read only at
-members of their support, once each.
+from ``Monoid.fiber``.  Where a list kernel runs, every fiber of a point
+lies in the prefix below it, so such a product needs its factors on a
+prefix.  A leaf or another such product is evaluated there as one value
+list, on the longest prefix its parents need; any other series (a sum, a
+negation, a product with a finite table) is computed point by point at the
+prefix's points, and the kernel reads its list off its memo.  A series
+needed at a point above its prefix computes that point alone.  Each series
+keeps its values in its memo, so repeated queries reuse work below the
+root, and leaves are read only at members of their support, once each.
 
 Checks run at the boundary, not in the evaluator: ``from_terms`` checks
 every element and coefficient, ``from_function`` admits its support and
@@ -55,7 +54,8 @@ again: the builtins are leaves on ``ALL``, which their monoids admit;
 ``add``, ``neg`` and ``mul`` take their supports from tables of library
 products or from the monoid's unchecked tail bounds; ``window_coeffs``
 lists a support's window unchecked and the evaluator tests demanded
-points with the descriptor's own ``in``.
+points with the descriptor's own ``in`` and decomposes them with the
+trusted ``Monoid.fiber``.
 
 Series may be shared across threads: the memo fill is idempotent, so
 concurrent queries can at worst duplicate work, never disagree.
@@ -237,23 +237,23 @@ def _evaluate(root: GenSeries, points) -> list:
     it, in one walk: parents first, each node's demand passes to its
     operands; then, operands first, each node computes its demand.  A demand
     is a set of points -- members of the support that the memo lacks -- and,
-    where the monoid's list kernel runs, a prefix unit..top as well, computed
-    as one value list indexed by element (zero below the unit).  A node drops
-    the points its prefix holds, and a memo that holds the whole prefix is
-    read.  A sum or a negation needs its operands on its own points and
-    prefix.  A product of two infinite series that the kernel runs needs both
-    factors on the prefix up to its last point, and runs the kernel there.
-    Any other product needs its factors on the fibers of its points; a
-    product with a finite table needs its other factor on its prefix only up
-    to ``cofactor_top`` of the table's smallest element, and multiplies entry
-    by entry.  A point above a prefix stays a point: the prefix is not
-    widened to reach it.  The families with a list kernel admit no infinite
-    support but ALL, so every prefix point is a support point.
+    for a leaf or a product of two infinite series that the monoid's list
+    kernel runs, a prefix unit..top as well, computed as one value list
+    indexed by element (zero below the unit).  Such a node drops the points
+    its prefix holds, and a memo that holds its whole prefix is read.  A
+    kernel product needs its factors up to its last point: a leaf or another
+    kernel product on that prefix, any other series at each of the prefix's
+    points, whose list the kernel then reads off its memo.  A sum or a
+    negation needs its operands on its own points, any other product its
+    factors on the fibers of its points.  A point above a prefix stays a
+    point: the prefix is not widened to reach it.  The families with a list
+    kernel admit no infinite support but ALL, so every prefix point is a
+    support point.
     """
     monoid, ring = root.monoid, root.ring
     zero, unit = ring.zero, monoid.unit
     need = {}  # node -> the points to compute
-    tops = {}  # node -> the last point of its prefix
+    tops = {}  # leaf or kernel product -> the last point of its prefix
 
     def demand(node, pts):
         if _is_finite(node):
@@ -267,9 +267,12 @@ def _evaluate(root: GenSeries, points) -> list:
     demand(root, points)
     order = _post_order(root) if need else []
     kernel = monoid.list_kernel(points) if need else None
-    kernels = set()  # the products of two infinite series that the kernel runs
+    # the products of two infinite series that the kernel runs
+    kernels = set() if kernel is None else {
+        node for node in order if node._build[0] == "mul"
+        and not (_is_finite(node._build[1]) or _is_finite(node._build[2]))}
     plans = {}  # other product -> the fibers {m: pairs} of its points
-    lists = {}  # node -> its values over 0..its top, or further
+    lists = {}  # leaf or kernel product -> its values over 0..its top, or further
     for node in reversed(order):  # parents first, so each demand is whole when passed on
         wanted, top = need.get(node), tops.get(node)
         if top is not None:
@@ -285,42 +288,28 @@ def _evaluate(root: GenSeries, points) -> list:
         op, *operands = node._build
         if op == "leaf":
             continue
-        if op == "mul":
-            f, g = operands
-            if kernel is not None and not (_is_finite(f) or _is_finite(g)):
-                kernels.add(node)
-                last = max(wanted) if wanted else top  # points lie above the prefix
-                for h in operands:
-                    if tops.get(h, unit - 1) < last:
-                        tops[h] = last
-                continue
-            if wanted:
-                fibers = plans[node] = {m: monoid.decompose_within(m, f.support, g.support)
-                                        for m in wanted}
-                demand(f, [a for pairs in fibers.values() for a, _ in pairs])
-                demand(g, [b for pairs in fibers.values() for _, b in pairs])
-            if top is not None:
-                table, h = (f._memo, g) if _is_finite(f) else (g._memo, f)
-                # the table's smallest element moves the other factor furthest
-                last = monoid.cofactor_top(min(table), top) if table else unit - 1
-                if tops.get(h, unit - 1) < last:
+        if node in kernels:
+            last = max(wanted) if wanted else top  # points lie above the prefix
+            for h in operands:
+                if h._build[0] != "leaf" and h not in kernels:  # computed point by point
+                    demand(h, range(unit, last + 1))
+                elif tops.get(h, unit - 1) < last:
                     tops[h] = last
-            continue
-        for h in operands:
-            if wanted:
+        elif op == "mul":
+            f, g = operands
+            fibers = plans[node] = {m: monoid.fiber(m, f.support, g.support) for m in wanted}
+            demand(f, [a for pairs in fibers.values() for a, _ in pairs])
+            demand(g, [b for pairs in fibers.values() for _, b in pairs])
+        else:
+            for h in operands:
                 demand(h, wanted)
-            if top is not None and tops.get(h, unit - 1) < top:
-                tops[h] = top
 
-    def column(f, n):  # f's values over 0..n-1; a table is densified only to be added
-        if f in lists:
-            values = lists[f]
-            return values if len(values) == n else values[:n]
-        out = [zero] * n
-        for m, c in f._memo.items():
-            if m < n:
-                out[m] = c
-        return out
+    def column(f, n):  # f's values over 0..n-1: its list, or else its memo
+        if f not in lists:
+            memo = f._memo
+            return [zero] * unit + [memo[m] for m in range(unit, n)]
+        values = lists[f]
+        return values if len(values) == n else values[:n]
 
     for node in order:
         wanted, top = need.get(node), tops.get(node)
@@ -328,42 +317,23 @@ def _evaluate(root: GenSeries, points) -> list:
             continue
         memo = node._memo
         op, *operands = node._build
+        if op == "leaf":
+            fn = operands[0]
+            if top is not None:
+                values = lists[node] = [zero] * unit + [memo[m] if m in memo else fn(m)
+                                                        for m in range(unit, top + 1)]
+                memo.update(zip(range(unit, top + 1), values[unit:]))
+            for m in wanted or ():
+                memo[m] = fn(m)
+            continue
         if node in kernels:  # the prefix and the points in one run
             ks = list(range(unit, top + 1)) if top is not None else []
             ks += wanted or ()
             n = max(ks) + 1
-            f_list, g_list = lists[operands[0]], lists[operands[1]]
-            if len(f_list) != n or len(g_list) != n:  # a shared operand runs longer
-                f_list, g_list = f_list[:n], g_list[:n]
-            values = _products(kernel, ring, f_list, g_list, ks)
+            values = _products(kernel, ring, column(operands[0], n), column(operands[1], n), ks)
             memo.update(zip(ks, values))
             if top is not None:
                 lists[node] = [zero] * unit + values[:top + 1 - unit]
-            continue
-        if top is not None:
-            n = top + 1
-            if op == "leaf":
-                fn = operands[0]
-                values = [zero] * unit + [memo[m] if m in memo else fn(m)
-                                          for m in range(unit, n)]
-            elif op == "neg":
-                values = list(map(ring.neg, column(operands[0], n)))
-            elif op == "add":
-                values = list(map(ring.add, column(operands[0], n), column(operands[1], n)))
-            else:  # an operand with an empty prefix has no list, and is not read
-                f, g = operands
-                if _is_finite(f):
-                    values = _times_table(monoid, ring, f._memo, lists.get(g), top, True)
-                else:
-                    values = _times_table(monoid, ring, g._memo, lists.get(f), top, False)
-            lists[node] = values
-            memo.update(zip(range(unit, n), values[unit:]))
-            if not wanted:
-                continue
-        if op == "leaf":
-            fn = operands[0]
-            for m in wanted:
-                memo[m] = fn(m)
             continue
         fv = operands[0]._memo
         if op == "neg":
@@ -383,23 +353,6 @@ def _evaluate(root: GenSeries, points) -> list:
             memo[m] = total
     memo = root._memo
     return [memo.get(m, zero) for m in points]
-
-
-def _times_table(monoid: Monoid, ring: Ring, table: dict, values: list, top: int,
-                 table_first: bool) -> list:
-    """The product of a finite table and a value list over 0..top, with the
-    table's values as the left factors when table_first: each entry
-    (x, c) times the list moved by x, O(|table| * top)."""
-    out = [ring.zero] * (top + 1)
-    mul = ring.mul if table_first else (lambda c, v: ring.mul(v, c))
-    for x, c in table.items():
-        # the list-kernel families commute, and their products grow with j
-        for j in range(monoid.unit, top + 1):
-            m = monoid.product(x, j)
-            if m is None or m > top:
-                break
-            out[m] = ring.add(out[m], mul(c, values[j]))
-    return out
 
 
 def _products(kernel, ring: Ring, f: list, g: list, ks: list) -> list:

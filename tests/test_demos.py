@@ -1,0 +1,22 @@
+"""Every demo runs to completion in a fresh interpreter and prints its
+walkthrough."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", [
+    "category_checker.py", "dirichlet_functions.py", "posets_and_classification.py",
+    "power_series.py", "puiseux_series.py", "truncated_polynomials.py"])
+def test_demo_runs(demo):
+    # conftest puts this checkout's src on PYTHONPATH
+    run = subprocess.run([sys.executable, str(REPO / "demos" / demo)], capture_output=True,
+                         text=True, cwd=REPO, env={**os.environ, "PYTHONHASHSEED": "0"})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip()

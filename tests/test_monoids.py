@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genseries import (ALL, CarrierError, DescriptorError, GridTail, TailGE,
-                       catalog_monoids, classify_subset, finite, free_words,
+from genseries import (ALL, CarrierError, DescriptorError, GridTail, IntRing, TailGE,
+                       catalog_monoids, classify_subset, finite, free_words, from_terms,
                        integers, integers_discrete, nat, nat_discrete,
-                       posnat_div, posnat_mul, rational_grid, truncated)
+                       posnat_div, posnat_mul, rational_grid, truncated, zeta)
+from genseries import monoids
 
 import oracles
 from conftest import element_pool, random_descriptor
@@ -124,6 +125,29 @@ def test_decompose_matches_brute_force(rng):
                 window = oracles.covering_window(monoid, m, s, t)
                 assert monoid.decompose_within(m, s, t) == \
                     oracles.brute_decompose(monoid, m, s, t, window)
+
+
+def test_posnat_fibers_over_a_finite_side_try_only_its_elements(monkeypatch):
+    """A finite side lists the factors itself, so no divisor of m is tried:
+    ``((1 + T^2) * zeta).coeff(10**12)`` tries 2 pairs, not 10**6 divisors."""
+    def refuse(n):
+        raise AssertionError(f"scanned the divisors of {n}")
+
+    elements = [1, 2, 3, 5, 8, 12, 35]
+    cases = [(posnat_mul(), finite(elements), ALL), (posnat_mul(), ALL, finite(elements)),
+             (posnat_div(), finite(elements), finite([1, 4, 6, 7]))]
+    for monoid, s, t in cases:
+        for m in range(1, 50):
+            want = oracles.brute_decompose(monoid, m, s, t,
+                                           oracles.covering_window(monoid, m, s, t))
+            with monkeypatch.context() as patch:
+                patch.setattr(monoids, "_divisors", refuse)
+                assert monoid.decompose_within(m, s, t) == want
+    monkeypatch.setattr(monoids, "_divisors", refuse)
+    R = IntRing()
+    series = from_terms(posnat_mul(), R, [(1, 1), (2, 1)]) * zeta(R)
+    assert series.coeff(10 ** 12) == 2
+    assert (zeta(R) * from_terms(posnat_mul(), R, [(3, 1)])).coeff(10 ** 12) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,28 @@ def test_series_arithmetic_admits_no_support_the_library_derived(monkeypatch):
     assert series.render(3) == "2 + 1·T^1 + 3·T^2 + 4·T^3"
 
 
+def test_evaluation_admits_no_support_again(monkeypatch):
+    """The evaluator decomposes its points with the trusted ``fiber``: a
+    window of a product with a finite factor, on carriers whose products
+    run one fiber per point, admits no descriptor."""
+    def refuse(self, desc):
+        raise AssertionError(f"re-admitted {desc!r}")
+
+    series = [from_terms(nat(), R, [(0, 1), (1, 1), (2, 1)]) * geometric(R),
+              from_terms(posnat_mul(), R, [(2, 1), (3, -1)]) * zeta(R),
+              from_function(integers(), R, TailGE(-2), lambda m: m)
+              * from_terms(integers(), R, [(-1, 1), (3, 2)]),
+              from_function(free_words("xy"), R, ALL, len) * from_terms(free_words("xy"), R,
+                                                                         [("x", 1), ("", 1)])]
+    monkeypatch.setattr(Monoid, "require_admitted", refuse)
+    assert list(series[0].window_coeffs(200).values()) == [1, 2] + [3] * 199
+    assert series[1].window_coeffs(12) == {m: (m % 2 == 0) - (m % 3 == 0)
+                                           for m in range(1, 13)}
+    assert series[2].window_coeffs(3) == {m: (m + 1) + 2 * (m - 3) * (m >= 1)
+                                          for m in range(-3, 4)}
+    assert series[3].coeff("xy") == 2 and series[3].coeff("yx") == 3
+
+
 def test_coeff_validates_elements():
     with pytest.raises(Exception):
         geometric(R).coeff(-1)
