@@ -21,9 +21,11 @@ additive integers, the positive naturals under multiplication, the
 rational grid and the words.  A family holds its unit, product,
 decomposition candidates, its windows (the whole window, the filter on
 finite sets and the window of its tail kind), tail bounds, the element a
-bare ``T`` denotes and its list kernel for products of two infinite
-series.  The ``Monoid`` base holds the descriptor protocol that every
-monoid shares: finite sets, their bounds and their windows.
+bare ``T`` denotes, its list kernel for products of two infinite series
+and, where products grow with their factors, ``cofactor_top``, how far a
+query into a product of two finite series needs each factor.  The
+``Monoid`` base holds the descriptor protocol that every monoid shares:
+finite sets, their bounds and their windows.
 
 Descriptor admission is a rule table of its own; that it agrees with the
 order-theoretic classification (admitted iff artinian and narrow) is a
@@ -91,6 +93,12 @@ class Monoid:
 
     # the element a bare ``T`` denotes in expressions, if there is one
     generator = None
+
+    # cofactor_top(top, x): on a family whose products grow with each factor,
+    # the largest y with x * y <= top, so a product's keys up to top need a
+    # factor only up to there for x the other factor's least key; None
+    # elsewhere, where a query builds a product of finite series whole
+    cofactor_top = None
 
     def list_kernel(self, points):
         """The list kernel for the products of two infinite series in a query
@@ -283,6 +291,7 @@ class _NatMonoid(CatalogMonoid):
     unit = 0
     generator = 1
     product = staticmethod(operator.add)
+    cofactor_top = staticmethod(operator.sub)
 
     def _candidates(self, m, s, t):
         # over a finite side; its elements above m are no factors of m
@@ -315,6 +324,7 @@ class _IntMonoid(CatalogMonoid):
     unit = 0
     generator = 1
     product = staticmethod(operator.add)
+    cofactor_top = staticmethod(operator.sub)
 
     def _candidates(self, m, s, t):
         if isinstance(s, FiniteSet):
@@ -344,6 +354,7 @@ class _PosNatMonoid(CatalogMonoid):
 
     unit = 1
     product = staticmethod(operator.mul)
+    cofactor_top = staticmethod(operator.floordiv)
 
     def _candidates(self, m, s, t):
         # over a finite side; only its divisors of m are factors of m

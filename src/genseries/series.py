@@ -24,28 +24,38 @@ the expression parser raises a run of one repeated factor to its length
 this way.
 
 Every series records how it was built: a finite table, a leaf function,
-or ``add``/``neg``/``mul`` of other series.  A finite series holds its
-whole table from construction on (sums, negations and products of finite
-series are computed when they are built), so its support is exactly the
-table's keys.  All other coefficients come from one evaluator,
-``_evaluate``, behind ``coeff``, ``window_coeffs`` (and so ``terms_on``
-and ``render``), ``agree_on`` and ``is_zero_on``.  It walks the build
-record once, iteratively, so chain depth costs no stack, and it asks each
-operand only for what its parents need: a product needs its factors on
-the fibers of its points.  The monoid's family picks how a product of two
-infinite factors is computed (``Monoid.list_kernel``): a Cauchy product
-over lists on the additive naturals, one dot product per point, and a
-Dirichlet sieve for a whole window on the positive naturals, while a
-single query there sums its divisor pairs; everywhere else fibers come
-from ``Monoid.fiber``.  Where a list kernel runs, every fiber of a point
-lies in the prefix below it, so such a product needs its factors on a
-prefix.  A leaf or another such product is evaluated there as one value
-list, on the longest prefix its parents need; any other series (a sum, a
-negation, a product with a finite table) is computed point by point at the
-prefix's points, and the kernel reads its list off its memo.  A series
-needed at a point above its prefix computes that point alone.  Each series
-keeps its values in its memo, so repeated queries reuse work below the
-root, and leaves are read only at members of their support, once each.
+or ``add``/``neg``/``mul`` of other series.  Sums and negations of finite
+series are computed when they are built.  A product of two finite series
+keeps its two factors and builds no table until something reads the whole
+of it: its ``support``, a window or render, a sum or negation, or an
+infinite series it is a factor of.  That build runs ``_convolve`` on the
+factors' tables, operands first and iteratively (``_complete``), so its
+keys, zero entries included, and their order are those of an eager
+product, and its support is exactly the table's keys.  Before that,
+``coeff(m)`` fills the table only up to the bound that m needs (``_fill``):
+on the families with ``Monoid.cofactor_top`` a factor's keys matter only
+up to that bound of the other factor's least key, which each product works
+out once from its factors' (Ribenboim's finiteness condition, concretely).
+Elsewhere a query builds the whole table.  All other coefficients come
+from one evaluator, ``_evaluate``, behind ``coeff``, ``window_coeffs``
+(and so ``terms_on`` and ``render``), ``agree_on`` and ``is_zero_on``.
+It walks the build record once, iteratively, so chain depth costs no
+stack, and it asks each operand only for what its parents need: a
+product needs its factors on the fibers of its points.  The monoid's
+family picks how a product of two infinite factors is computed
+(``Monoid.list_kernel``): a Cauchy product over lists on the additive
+naturals, one dot product per point, and a Dirichlet sieve for a whole
+window on the positive naturals, while a single query there sums its
+divisor pairs; everywhere else fibers come from ``Monoid.fiber``.  Where
+a list kernel runs, every fiber of a point lies in the prefix below it,
+so such a product needs its factors on a prefix.  A leaf or another such
+product is evaluated there as one value list, on the longest prefix its
+parents need; any other series (a sum, a negation, a product with a
+finite table) is computed point by point at the prefix's points, and the
+kernel reads its list off its memo.  A series needed at a point above
+its prefix computes that point alone.  Each series keeps its values in
+its memo, so repeated queries reuse work below the root, and leaves are
+read only at members of their support, once each.
 
 Checks run at the boundary, not in the evaluator: ``from_terms`` checks
 every element and coefficient, ``from_function`` admits its support and
@@ -58,7 +68,9 @@ points with the descriptor's own ``in`` and decomposes them with the
 trusted ``Monoid.fiber``.
 
 Series may be shared across threads: the memo fill is idempotent, so
-concurrent queries can at worst duplicate work, never disagree.
+concurrent queries can at worst duplicate work, never disagree.  A finite
+product's memo holds its whole table before its build reads as a table,
+and its support is published only from that.
 """
 
 from __future__ import annotations
@@ -72,28 +84,43 @@ from .errors import InputError, SizeBoundError
 from .monoids import Monoid, nat, posnat_mul
 from .rings import IntRing, RationalRing, Ring
 
-# how a series was built: ("table",), ("leaf", fn), ("add", f, g), ("neg", f)
-# or ("mul", f, g)
+# how a series was built: ("table",), ("leaf", fn), ("add", f, g), ("neg", f),
+# ("mul", f, g) with an infinite factor, or ("finite-mul", f, g) of two finite
+# ones whose table is not built yet (then it becomes _TABLE)
 _TABLE = ("table",)
+_UNKNOWN = object()  # a least key not worked out yet
 
 
 class GenSeries:
     """An element of the generalized power series ring over (monoid, ring)."""
 
-    __slots__ = ("monoid", "ring", "support", "_memo", "_build")
+    __slots__ = ("monoid", "ring", "_support", "_memo", "_build", "_low", "_top")
 
     def __init__(self, monoid: Monoid, ring: Ring, support, build, memo=None):
         self.monoid = monoid
         self.ring = ring
-        self.support = support
-        # a finite series' memo is its whole table, zero values included
+        self._support = support  # None: a finite product's, until first read
+        # a finite series' memo is its whole table, zero values included, once
+        # its build is _TABLE; before, a finite product's holds it up to _top
         self._memo = {} if memo is None else memo
         self._build = build
+        # a finite series' least key (None: it has none), worked out when a
+        # query needs it on a family with cofactor_top
+        self._low = _UNKNOWN
+        self._top = None
+
+    @property
+    def support(self):
+        if self._support is None:  # a finite product: the keys of its whole table
+            self._support = finite(_table(self))
+        return self._support
 
     # -- observation ---------------------------------------------------------
 
     def coeff(self, m):
         self.monoid.check_element(m)
+        if self._support is None:
+            return _fill(self, m)
         return _evaluate(self, (m,))[0]
 
     def agree_on(self, other: "GenSeries", region: int) -> bool:
@@ -115,8 +142,8 @@ class GenSeries:
         _check_compatible(self, other)
         monoid, ring = self.monoid, self.ring
         if _is_finite(self) and _is_finite(other):
-            table = dict(self._memo)
-            for m, c in other._memo.items():
+            table = dict(_table(self))
+            for m, c in _table(other).items():
                 table[m] = ring.add(table[m], c) if m in table else c
             return GenSeries(monoid, ring, finite(table), _TABLE, table)
         return GenSeries(monoid, ring, monoid.tail_union_bound(self.support, other.support),
@@ -125,8 +152,8 @@ class GenSeries:
     def neg(self) -> "GenSeries":
         ring = self.ring
         if _is_finite(self):
-            table = {m: ring.neg(c) for m, c in self._memo.items()}
-            return GenSeries(self.monoid, ring, self.support, _TABLE, table)
+            table = {m: ring.neg(c) for m, c in _table(self).items()}
+            return GenSeries(self.monoid, ring, self._support, _TABLE, table)
         return GenSeries(self.monoid, ring, self.support, ("neg", self))
 
     def sub(self, other: "GenSeries") -> "GenSeries":
@@ -136,12 +163,15 @@ class GenSeries:
         _check_compatible(self, other)
         monoid, ring = self.monoid, self.ring
         if _is_finite(self) and _is_finite(other):
-            table = _convolve(monoid, ring, self._memo, other._memo)
-            return GenSeries(monoid, ring, finite(table), _TABLE, table)
-        # the bound of a finite and an infinite factor is finite only when it
-        # is empty, so an empty memo is then the whole table
-        return GenSeries(monoid, ring, monoid.tail_mul_bound(self.support, other.support),
-                         ("mul", self, other))
+            # no table yet: coeff fills it as far as a query needs, and the
+            # first read of the whole builds it (_complete)
+            return GenSeries(monoid, ring, None, ("finite-mul", self, other))
+        # reading a finite factor's support builds its table, which the fibers
+        # read; the bound is finite only when it is empty, and then so is the
+        # product's table
+        bound = monoid.tail_mul_bound(self.support, other.support)
+        return GenSeries(monoid, ring, bound,
+                         _TABLE if isinstance(bound, FiniteSet) else ("mul", self, other))
 
     __add__ = add
     __neg__ = neg
@@ -206,7 +236,15 @@ def _check_compatible(f: GenSeries, g: GenSeries):
 
 
 def _is_finite(series: GenSeries) -> bool:
-    return isinstance(series.support, FiniteSet)
+    support = series._support
+    return support is None or isinstance(support, FiniteSet)
+
+
+def _table(series: GenSeries) -> dict:
+    """A finite series' whole table."""
+    if series._build is not _TABLE:
+        _complete(series)
+    return series._memo
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +252,9 @@ def _is_finite(series: GenSeries) -> bool:
 
 
 def _post_order(root: GenSeries) -> list:
-    """root and the infinite series below it, each once, operands before the
-    nodes that use them."""
+    """root and the series below it other than built tables, each once,
+    operands before the nodes that use them: below an infinite series the
+    infinite ones, below a finite product the products not yet built."""
     order, seen, stack = [], set(), [(root, False)]
     while stack:  # iterative, so chain depth costs no stack
         node, expanded = stack.pop()
@@ -226,8 +265,99 @@ def _post_order(root: GenSeries) -> list:
             stack.append((node, True))
             build = node._build
             if build[0] != "leaf":
-                stack += [(f, False) for f in build[1:] if not _is_finite(f)]
+                stack += [(f, False) for f in build[1:] if f._build is not _TABLE]
     return order
+
+
+def _fill(root: GenSeries, m):
+    """root's coefficient at m, for a finite product whose support is not
+    published: its memo is filled with its table up to m, or on a family
+    without ``cofactor_top`` the whole table is built.
+
+    Operands first, each product's least key is worked out once: the
+    product of its factors' least keys.  Then, parents first, each product
+    passes on how far its factors are needed: a key of f * g up to top has
+    its f-factor up to ``cofactor_top(top, low)`` for g's least key low, and
+    alike for g.  Then, operands first, each product crosses its factors'
+    keys up to there and keeps the keys up to top; a memo already filled
+    that far is read, not filled again.
+    """
+    monoid, ring = root.monoid, root.ring
+    cofactor_top, product = monoid.cofactor_top, monoid.product
+    if cofactor_top is None or root._build is _TABLE:
+        return _table(root).get(m, ring.zero)
+    if root._top is not None and m <= root._top:  # filled that far already
+        return root._memo.get(m, ring.zero)
+    order = []  # the products not yet built, with their factors, operands first
+    for node in _post_order(root):
+        build = node._build
+        if build is not _TABLE:
+            _, f, g = build
+            if node._low is _UNKNOWN:
+                low_f, low_g = _least(f), _least(g)
+                node._low = None if low_f is None or low_g is None else product(low_f, low_g)
+            order.append((node, f, g))
+    tops = {root: m}  # product -> how far its memo must hold its table
+    for node, f, g in reversed(order):  # parents first, so each top is the largest
+        top = tops.get(node)
+        if top is None:
+            continue
+        if node._low is None or node._top is not None and top <= node._top:
+            del tops[node]  # no keys, or filled that far
+            continue
+        for h, other in ((f, g), (g, f)):
+            if h._build is not _TABLE:
+                need = cofactor_top(top, other._low)
+                if tops.get(h, need) <= need:
+                    tops[h] = need
+    add, mul = (operator.add, operator.mul) if isinstance(ring, IntRing) else (ring.add, ring.mul)
+    for node, f, g in order:
+        top = tops.get(node)
+        if top is None:
+            continue
+        f_top, g_top = cofactor_top(top, g._low), cofactor_top(top, f._low)
+        gs = [(y, b) for y, b in g._memo.items() if y <= g_top]
+        out = {}
+        for x, a in f._memo.items():
+            if x <= f_top:
+                y_top = cofactor_top(top, x)  # x * y <= top
+                for y, b in gs:
+                    if y <= y_top:
+                        k = product(x, y)
+                        if k is not None:
+                            c = mul(a, b)
+                            out[k] = add(out[k], c) if k in out else c
+        node._memo.update(out)
+        node._top = top
+    return root._memo.get(m, ring.zero)
+
+
+def _least(series: GenSeries):
+    """A finite series' least key, None if it has none: a built table's is
+    worked out at the first call."""
+    if series._low is _UNKNOWN:
+        series._low = min(series._memo, default=None)
+    return series._low
+
+
+def _complete(root: GenSeries):
+    """Build the whole tables of root, a finite product, and of the finite
+    products below it not yet built: operands first, each is ``_convolve``
+    of its operands' tables, as if built when multiplied.  A memo holds the
+    whole table before its build reads _TABLE, and a support is published
+    only after that, from the keys."""
+    stack = [root]
+    while stack:  # iterative, so chain depth costs no stack; a shared operand is built once
+        node = stack.pop()
+        build = node._build
+        if build is _TABLE:
+            continue
+        _, f, g = build
+        if f._build is not _TABLE or g._build is not _TABLE:
+            stack += (node, f, g)  # a built one is popped at once
+            continue
+        node._memo = _convolve(node.monoid, node.ring, f._memo, g._memo)
+        node._build = _TABLE  # the operands are no longer needed
 
 
 def _evaluate(root: GenSeries, points) -> list:
@@ -258,7 +388,7 @@ def _evaluate(root: GenSeries, points) -> list:
     def demand(node, pts):
         if _is_finite(node):
             return
-        memo, support = node._memo, node.support
+        memo, support = node._memo, node._support
         anywhere = isinstance(support, All)
         new = [p for p in pts if p not in memo and (anywhere or p in support)]
         if new:
@@ -297,7 +427,7 @@ def _evaluate(root: GenSeries, points) -> list:
                     tops[h] = last
         elif op == "mul":
             f, g = operands
-            fibers = plans[node] = {m: monoid.fiber(m, f.support, g.support) for m in wanted}
+            fibers = plans[node] = {m: monoid.fiber(m, f._support, g._support) for m in wanted}
             demand(f, [a for pairs in fibers.values() for a, _ in pairs])
             demand(g, [b for pairs in fibers.values() for _, b in pairs])
         else:

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genseries import (ALL, GridTail, InputError, IntRing, Mat2Ring, ModRing, TailGE,
-                       catalog_monoids, free_words, from_function, from_terms,
-                       geometric, moebius, nat, posnat_mul, truncated, zeta)
+                       catalog_monoids, finite, free_words, from_function, from_terms,
+                       geometric, integers, moebius, nat, posnat_mul, rational_grid,
+                       truncated, zeta)
 from genseries.cli import eval_expression, main
 from genseries.series import _convolve, _post_order, power
 
@@ -550,3 +551,173 @@ def test_integer_table_products_keep_zero_entries_in_order(rng):
                                               ring_samples(ring, rng))} for _ in range(2))
                 got = _convolve(monoid, ring, f, g)
                 assert list(got.items()) == list(generic_convolve(monoid, ring, f, g).items())
+
+
+# ---------------------------------------------------------------------------
+# products of finite series, filled only as far as a query asks
+
+
+def brute_product(monoid, ring, tables):
+    """The product of finite tables, folded left through the ring's own add
+    and mul."""
+    return reduce(lambda f, g: generic_convolve(monoid, ring, f, g), tables)
+
+
+def eager_product(monoid, ring, tables):
+    """The table an eagerly built product would hold: a ``_convolve`` fold."""
+    return reduce(lambda f, g: _convolve(monoid, ring, f, g), tables)
+
+
+def assert_same_table(series, eager):
+    """series' whole table is eager's, key for key and in order, zero
+    entries included, and its support is eager's keys."""
+    assert series.support == finite(eager)
+    table = series._memo
+    assert list(table) == list(eager)
+    assert all(series.ring.eq(table[m], eager[m]) for m in eager)
+
+
+# keys the factors draw from, and the points queried: below, among and
+# above a product's keys
+FILL_KEYS = {"nat": range(0, 9), "truncated": range(0, 8), "int": range(-6, 7),
+             "posnat-mul": range(1, 13)}
+FILL_POINTS = {"nat": range(0, 45), "truncated": range(0, 8), "int": range(-30, 31),
+               "posnat-mul": range(1, 150)}
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=repr)
+@pytest.mark.parametrize("monoid", [nat(), truncated(7), integers(), posnat_mul()],
+                         ids=lambda m: m.describe())
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_finite_products_answer_interleaved_reads_as_eager_ones(monoid, ring, data):
+    name = monoid.carrier.name
+    zero = ring.zero
+
+    def factor():
+        keys = data.draw(st.lists(st.sampled_from(FILL_KEYS[name]), max_size=3, unique=True))
+        rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+        return from_terms(monoid, ring, list(zip(keys, ring_samples(ring, rng, len(keys)))))
+
+    factors = [factor() for _ in range(3)]  # drawn with repeats, so factors are shared
+    picks = [factors[i] for i in data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=6))]
+    tables = [f._memo for f in picks]
+    # each: the series, its brute-force table and the table an eager build holds
+    live = [(reduce(operator.mul, picks), brute_product(monoid, ring, tables),
+             eager_product(monoid, ring, tables))]
+    for _ in range(data.draw(st.integers(1, 8))):
+        series, want, eager = live[data.draw(st.integers(0, len(live) - 1))]
+        step = data.draw(st.sampled_from(["coeff", "coeff", "window", "support", "mul", "add"]))
+        if step == "coeff":  # a point, then the points just below and just above it
+            points = FILL_POINTS[name]
+            m = data.draw(st.sampled_from(points))
+            for n in (m, m - 1, m + 1):
+                if n in points:
+                    assert ring.eq(series.coeff(n), want.get(n, zero))
+        elif step == "window":
+            region = data.draw(st.integers(0, 12))
+            got = series.window_coeffs(region)
+            assert list(got) == monoid.enumerate_desc(finite(want), region)
+            assert all(ring.eq(c, want[m]) for m, c in got.items())
+        elif step == "support":
+            assert series.support == finite(want)
+        else:  # series times or plus a factor, on either side
+            f = factors[data.draw(st.integers(0, 2))]
+            pair = [(series, want, eager), (f, f._memo, f._memo)]
+            if data.draw(st.booleans()):
+                pair.reverse()
+            (a, want_a, eager_a), (b, want_b, eager_b) = pair
+            if step == "add":  # a sum reads the whole table
+                table = dict(eager_a)
+                for m, c in eager_b.items():
+                    table[m] = ring.add(table[m], c) if m in table else c
+                live.append((a + b, table, table))
+            else:
+                live.append((a * b, brute_product(monoid, ring, [want_a, want_b]),
+                             eager_product(monoid, ring, [eager_a, eager_b])))
+    for series, want, eager in live:
+        assert all(ring.eq(eager.get(m, zero), c) for m, c in want.items())
+        assert_same_table(series, eager)
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=repr)
+@pytest.mark.parametrize("monoid", [rational_grid(), free_words("xy")],
+                         ids=lambda m: m.describe())
+def test_a_query_builds_a_finite_product_whole_without_cofactor_top(monoid, ring, rng):
+    pool = element_pool(monoid)
+    factors = [from_terms(monoid, ring, list(zip(rng.sample(pool, 3), ring_samples(ring, rng, 3))))
+               for _ in range(4)]
+    tables = [f._memo for f in factors]
+    want, eager = brute_product(monoid, ring, tables), eager_product(monoid, ring, tables)
+    series = reduce(operator.mul, factors)
+    assert series._build[0] == "finite-mul"
+    for m in pool:
+        assert ring.eq(series.coeff(m), want.get(m, ring.zero))
+    assert series._build == ("table",)  # the first query built it whole
+    assert_same_table(series, eager)
+
+
+def test_a_query_into_a_sparse_product_computes_no_key_above_its_bound(monkeypatch):
+    ks = sorted(random.Random(7).sample(range(2, 47), 40))
+    text = " * ".join(f"(1 + T^{k})" for k in ks)
+    m = 18
+    sums, products = [1] + [0] * m, [0, 1] + [0] * (m - 1)  # subsets of ks by sum, product
+    for k in ks:
+        sums = [c + (sums[n - k] if n >= k else 0) for n, c in enumerate(sums)]
+        products = [c + (products[n // k] if n % k == 0 else 0) for n, c in enumerate(products)]
+    for monoid, want in [(nat(), sums), (integers(), sums), (posnat_mul(), products)]:
+        family = type(monoid)
+        keys = []
+
+        def product(a, b, real=family.product):
+            keys.append(real(a, b))
+            return keys[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(family, "product", staticmethod(product))
+            series = eval_expression(text, monoid, IntRing(), m)
+            assert series.coeff(m) == want[m]
+            computed = len(keys)
+            # lower queries read the memo the first one filled
+            assert [series.coeff(n) for n in (m - 1, m - 6)] == [want[m - 1], want[m - 6]]
+            assert len(keys) == computed
+        # each of the 40 products crosses at most its left factor's keys up
+        # to m with the two of its right one; an eager build on nat makes
+        # tens of thousands of products, up to the sum of ks
+        assert max(keys) <= m and len(keys) <= 40 * (m + 1) * 2
+        assert series._support is None and series._build[0] == "finite-mul"
+
+
+def test_a_long_chain_of_distinct_finite_factors_answers_a_query():
+    k = 2000
+    series = eval_expression(" * ".join(f"(1 + T^{i})" for i in range(1, k + 1)),
+                             nat(), IntRing(), 3)
+    values = [1, 0, 0, 0]
+    for i in range(1, k + 1):
+        values = [c + (values[m - i] if m >= i else 0) for m, c in enumerate(values)]
+    assert series.coeff(3) == values[3] == 2
+
+
+def test_a_long_finite_chain_renders_on_trunc(capsys):
+    chain = " * ".join(["(1 + T)"] * 2000)
+    code = main(["series-eval", "--monoid", '{"trunc": 3}', "--ring", "int", "--expr", chain,
+                 "--window", "3"])
+    assert code == 0
+    assert capsys.readouterr().out == " + ".join(
+        str(comb(2000, m)) if m == 0 else f"{comb(2000, m)}·T^{m}" for m in range(4)) + "\n"
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=repr)
+@pytest.mark.parametrize("monoid", [nat(), truncated(7), integers(), posnat_mul()],
+                         ids=lambda m: m.describe())
+def test_powers_of_a_finite_table_answer_queries_as_the_left_fold(monoid, ring, rng):
+    pool = element_pool(monoid)
+    for _ in range(4):
+        picks = rng.sample(pool, 3)
+        f = from_terms(monoid, ring, list(zip(picks, ring_samples(ring, rng, 3))))
+        squared, fold = power(f, 9), reduce(operator.mul, [f] * 9)
+        want = brute_product(monoid, ring, [f._memo] * 9)
+        points = sorted(want, key=monoid.sort_key)
+        for m in points[::-3] + points[1::4]:  # down, then up again
+            assert ring.eq(squared.coeff(m), want[m]) and ring.eq(fold.coeff(m), want[m])
+        assert_same_table(fold, eager_product(monoid, ring, [f._memo] * 9))
