@@ -219,6 +219,8 @@ class _ExprParser:
 
 
 def eval_expression(text: str, monoid: Monoid, ring: Ring, window: int) -> GenSeries:
+    if not isinstance(text, str):  # --input may hold any JSON value
+        raise InputError(f"expr must be a string, got {text!r}")
     return _ExprParser(text, monoid, ring, window).parse()
 
 

@@ -7,11 +7,16 @@ ring-axiom checker rely on decidable equality, and a coefficient-zero
 test drives support filtering in the series module.
 
 Elements are plain hashable Python values (int, Fraction, or a flat
-row-major 4-tuple for matrices); the ring object carries the operations.
+row-major 4-tuple for matrices); the ring object carries the operations,
+and series kernels call them as they are.  ``zero`` and ``one`` are class
+constants.  The integers and rationals bind ``add``, ``neg``, ``mul`` and
+``eq`` to the ``operator`` builtins, so their arithmetic costs no method
+call; ``mod n`` and ``mat2`` define their own methods.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,14 +28,7 @@ class Ring:
     """Unital ring interface.  Commutativity is not assumed."""
 
     name = "?"
-
-    @property
-    def zero(self):
-        raise NotImplementedError
-
-    @property
-    def one(self):
-        raise NotImplementedError
+    zero = one = None  # each ring's constants
 
     def add(self, a, b):
         raise NotImplementedError
@@ -43,9 +41,6 @@ class Ring:
 
     def eq(self, a, b) -> bool:
         raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def is_zero(self, a) -> bool:
         return self.eq(a, self.zero)
@@ -74,31 +69,22 @@ class Ring:
         return self.name
 
 
+class _Numbers:
+    """The operations of a ring of Python numbers: the operator builtins
+    themselves, which series kernels call with no wrapper.  Not a Ring
+    subclass, because ``benchmarks/layertrace.py`` replaces each ``add`` and
+    ``mul`` that a Ring subclass defines with a method that passes the ring
+    on as a first argument, which a builtin does not take."""
+
+    add, neg, mul, eq = operator.add, operator.neg, operator.mul, operator.eq
+
+
 @dataclass(frozen=True)
-class IntRing(Ring):
+class IntRing(_Numbers, Ring):
     """Arbitrary-precision integers."""
 
     name = "int"
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b):
-        return a == b
+    zero, one = 0, 1
 
     def from_int(self, n):
         return n
@@ -122,7 +108,7 @@ class IntRing(Ring):
 
 
 @dataclass(frozen=True)
-class RationalRing(Ring):
+class RationalRing(_Numbers, Ring):
     """Arbitrary-precision rationals, always in lowest terms.
 
     ``fractions.Fraction`` keeps the canonical form (positive denominator,
@@ -130,20 +116,7 @@ class RationalRing(Ring):
     """
 
     name = "rational"
-    zero = Fraction(0)  # immutable, so one instance serves every caller
-    one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b):
-        return a == b
+    zero, one = Fraction(0), Fraction(1)  # immutable, so one instance serves every caller
 
     def from_int(self, n):
         return Fraction(n)
@@ -166,18 +139,11 @@ class ModRing(Ring):
     modulus: int
 
     name = "mod"
+    zero, one = 0, 1  # __post_init__ requires a modulus of at least 2
 
     def __post_init__(self):
         if not _is_int(self.modulus) or self.modulus < 2:
             raise InputError("modulus must be an integer >= 2")
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1 % self.modulus
 
     def add(self, a, b):
         return (a + b) % self.modulus
@@ -203,7 +169,7 @@ class ModRing(Ring):
     def element_from_json(self, obj):
         if _is_int(obj):
             return obj % self.modulus
-        if isinstance(obj, dict) and set(obj) == {"mod", "val"}:
+        if isinstance(obj, dict) and set(obj) == {"mod", "val"} and _is_int(obj["val"]):
             if obj["mod"] != self.modulus:
                 raise InputError(f"residue has modulus {obj['mod']}, ring has {self.modulus}")
             return obj["val"] % self.modulus
@@ -221,14 +187,7 @@ class Mat2Ring(Ring):
     """
 
     name = "mat2"
-
-    @property
-    def zero(self):
-        return (0, 0, 0, 0)
-
-    @property
-    def one(self):
-        return (1, 0, 0, 1)
+    zero, one = (0, 0, 0, 0), (1, 0, 0, 1)
 
     def add(self, a, b):
         return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])

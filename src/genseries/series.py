@@ -46,14 +46,16 @@ family picks how a product of two infinite factors is computed
 (``Monoid.list_kernel``): a Cauchy product over lists on the additive
 naturals, one dot product per point, and a Dirichlet sieve for a whole
 window on the positive naturals, while a single query there sums its
-divisor pairs; everywhere else fibers come from ``Monoid.fiber``.  Where
-a list kernel runs, every fiber of a point lies in the prefix below it,
-so such a product needs its factors on a prefix.  A leaf or another such
-product is evaluated there as one value list, on the longest prefix its
-parents need; any other series (a sum, a negation, a product with a
-finite table) is computed point by point at the prefix's points, and the
-kernel reads its list off its memo.  A series needed at a point above
-its prefix computes that point alone.  Each series keeps its values in
+divisor pairs; everywhere else fibers come from ``Monoid.fiber``.  Kernels
+and convolutions take their arithmetic from the ring's own operations,
+except that a list kernel runs rationals on integer numerators over one
+denominator.  Where a list kernel runs, every fiber of a point lies in the
+prefix below it, so such a product needs its factors on a prefix.  A leaf
+or another such product is evaluated there as one value list, on the
+longest prefix its parents need; any other series (a sum, a negation, a
+product with a finite table) is computed point by point at the prefix's
+points, and the kernel reads its list off its memo.  A series needed at a
+point above its prefix computes that point alone.  Each series keeps its values in
 its memo, so repeated queries reuse work below the root, and leaves are
 read only at members of their support, once each.
 
@@ -82,7 +84,7 @@ from fractions import Fraction
 from .catalog import ALL, All, FiniteSet, _is_int, finite
 from .errors import InputError, SizeBoundError
 from .monoids import Monoid, nat, posnat_mul
-from .rings import IntRing, RationalRing, Ring
+from .rings import RationalRing, Ring
 
 # how a series was built: ("table",), ("leaf", fn), ("add", f, g), ("neg", f),
 # ("mul", f, g) with an infinite factor, or ("finite-mul", f, g) of two finite
@@ -310,7 +312,7 @@ def _fill(root: GenSeries, m):
                 need = cofactor_top(top, other._low)
                 if tops.get(h, need) <= need:
                     tops[h] = need
-    add, mul = (operator.add, operator.mul) if isinstance(ring, IntRing) else (ring.add, ring.mul)
+    add, mul = ring.add, ring.mul
     for node, f, g in order:
         top = tops.get(node)
         if top is None:
@@ -342,20 +344,13 @@ def _least(series: GenSeries):
 
 def _complete(root: GenSeries):
     """Build the whole tables of root, a finite product, and of the finite
-    products below it not yet built: operands first, each is ``_convolve``
-    of its operands' tables, as if built when multiplied.  A memo holds the
-    whole table before its build reads _TABLE, and a support is published
-    only after that, from the keys."""
-    stack = [root]
-    while stack:  # iterative, so chain depth costs no stack; a shared operand is built once
-        node = stack.pop()
-        build = node._build
-        if build is _TABLE:
-            continue
-        _, f, g = build
-        if f._build is not _TABLE or g._build is not _TABLE:
-            stack += (node, f, g)  # a built one is popped at once
-            continue
+    products below it not yet built, in ``_post_order`` (operands first, a
+    shared one once): each is ``_convolve`` of its operands' tables, as if
+    built when multiplied.  A memo holds the whole table before its build
+    reads _TABLE, and a support is published only after that, from the
+    keys."""
+    for node in _post_order(root):
+        _, f, g = node._build
         node._memo = _convolve(node.monoid, node.ring, f._memo, g._memo)
         node._build = _TABLE  # the operands are no longer needed
 
@@ -486,9 +481,7 @@ def _evaluate(root: GenSeries, points) -> list:
 
 
 def _products(kernel, ring: Ring, f: list, g: list, ks: list) -> list:
-    """The kernel's values at ks, on plain ints where the ring allows."""
-    if isinstance(ring, IntRing):
-        return kernel(f, g, ks, operator.add, operator.mul, 0)
+    """The kernel's values at ks; rationals run it on integer numerators."""
     if isinstance(ring, RationalRing):
         (fi, fd), (gi, gd) = _lift(f), _lift(g)
         den = fd * gd
@@ -506,8 +499,7 @@ def _convolve(monoid: Monoid, ring: Ring, f: dict, g: dict) -> dict:
     """Exact product of two finite tables; undefined monoid products drop out."""
     out = {}
     product = monoid.product  # table keys were checked when the tables were built
-    # plain ints skip the ring's methods; keys, order and zero entries are the same
-    add, mul = (operator.add, operator.mul) if isinstance(ring, IntRing) else (ring.add, ring.mul)
+    add, mul = ring.add, ring.mul
     for x, a in f.items():
         for y, b in g.items():
             m = product(x, y)

@@ -521,6 +521,34 @@ def test_fuzz_category_check_input_keeps_the_exit_code_contract(diagram_path, bl
     assert_contract(run_quietly("category-check", "--input", str(diagram_path)))
 
 
+ELEMENTS = st.sampled_from([0, 1, 2, -1, "1/2", "x", "xy"])
+COEFFICIENTS = st.sampled_from([1, "2", "-1/2", [1, 0, 0, 1]]) | st.fixed_dictionaries(
+    {"mod": JSON_VALUES | st.just(5), "val": JSON_VALUES | st.integers(0, 6)})
+SERIES_BLOBS = st.fixed_dictionaries({}, optional={
+    "monoid": JSON_VALUES | st.sampled_from(["nat", "int", "posnat-mul", "rational-grid",
+                                             {"trunc": 3}, {"words": "xy"}]),
+    "ring": JSON_VALUES | st.sampled_from(["int", "rational", {"mod": 5}, "mat2"]),
+    "expr": JSON_VALUES | st.sampled_from(["(1 - T) * geometric", "zeta * moebius",
+                                           "T^(1/2) + T^(-1/3)", "2*x*y - y*x", "1"]),
+    "terms": JSON_VALUES | st.lists(st.lists(JSON_VALUES | ELEMENTS | COEFFICIENTS,
+                                             min_size=2, max_size=2), max_size=3),
+    "window": JSON_VALUES | st.integers(0, 6),
+    "n-max": JSON_VALUES | st.integers(0, 6)})
+
+
+@pytest.fixture(scope="module")
+def series_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "series.json"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(blob=SERIES_BLOBS)
+def test_fuzz_series_input_keeps_the_exit_code_contract(series_path, blob):
+    series_path.write_text(json.dumps(blob))
+    for command in ("series-eval", "puiseux", "dirichlet"):
+        assert_contract(run_quietly(command, "--input", str(series_path)))
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -548,6 +576,28 @@ def test_non_integer_window_in_input_is_a_validation_error(capsys, tmp_path):
                                 "expr": "geometric", "window": "many"}))
     code, _, err = run_cli(capsys, "series-eval", "--input", str(path))
     assert code == 1 and "integer" in err
+
+
+@pytest.mark.parametrize("command,blob", [
+    ("series-eval", {"monoid": "nat", "ring": "int", "expr": 5, "window": 3}),
+    ("dirichlet", {"expr": 5, "n-max": 3}),
+    ("puiseux", {"expr": ["T"], "window": 3})])
+def test_an_expr_that_is_no_string_is_a_validation_error(capsys, tmp_path, command, blob):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "expr" in err
+
+
+@pytest.mark.parametrize("val", ["x", True, None, [1], 1.5])
+def test_a_residue_needs_an_integer_value(capsys, tmp_path, val):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps({"monoid": "nat", "ring": {"mod": 5}, "window": 3,
+                                "terms": [[1, {"mod": 5, "val": val}]]}))
+    code, out, err = run_cli(capsys, "series-eval", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad residue literal") and err.count("\n") == 1
 
 
 def test_malformed_terms_are_a_validation_error(capsys, tmp_path):
