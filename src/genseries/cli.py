@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from . import finspace
 from .catalog import descriptor_from_json, descriptor_to_json, carrier_from_spec
-from .errors import GenSeriesError, InputError, InternalError
+from .errors import GenSeriesError, InputError, InternalError, SizeBoundError
 from .monoids import Monoid, monoid_from_spec, nat, posnat_mul, rational_grid
 from .posets import (FinitePomonoid, FinitePoset, classify_subset,
                      is_strict_pomonoid, largest_antichain, longest_chain,
@@ -72,6 +72,9 @@ def _tokenize(text: str) -> list:
 # Each parenthesis or unary minus nests one recursive call deeper; this cap
 # keeps the parser well inside the interpreter's recursion limit.
 _MAX_NESTING = 100
+# The largest --window or --n-max: a window's value lists have about this many
+# entries, so larger ones are refused before any list is built.
+_MAX_SIZE = 10**6
 
 
 class _ExprParser:
@@ -300,6 +303,13 @@ def _as_int(value, what):
         raise InputError(f"{what} must be an integer, got {value!r}") from exc
 
 
+def _as_size(value, what):
+    n = _as_int(value, what)
+    if n > _MAX_SIZE:
+        raise SizeBoundError(f"{what} must be at most {_MAX_SIZE}")
+    return n
+
+
 def _terms_from_json(monoid, ring, terms):
     if not isinstance(terms, list):
         raise InputError('"terms" must be a list of [element, coefficient] pairs')
@@ -315,7 +325,7 @@ def _terms_from_json(monoid, ring, terms):
 def _show_series(args, blob, monoid, ring, extra=lambda series: {}) -> int:
     """Build the series from --expr or "terms" and print it on the window;
     ``extra`` adds fields to the JSON payload."""
-    window = _as_int(_field(args, blob, "window", "window"), "window")
+    window = _as_size(_field(args, blob, "window", "window"), "window")
     terms = blob.get("terms")
     expr = _field(args, blob, "expr", "expr", required=terms is None)
     if expr is not None:
@@ -337,7 +347,7 @@ def cmd_dirichlet(args) -> int:
     blob = _load_input(args)
     spec = _field(args, blob, "ring", "ring", required=False) or "int"
     ring = ring_from_spec(_parse_json_flag(spec))
-    n_max = _as_int(_field(args, blob, "n_max", "n-max"), "n-max")
+    n_max = _as_size(_field(args, blob, "n_max", "n-max"), "n-max")
     if n_max < 1:
         raise InputError("n-max must be at least 1")
     expr = _field(args, blob, "expr", "expr")

@@ -221,12 +221,21 @@ def _cauchy(f: list, g: list, ks, add, mul, zero) -> list:
 
 
 def _sieve(f: list, g: list, ks, add, mul, zero) -> list:
-    """At each k, the sum of f[d] * g[k / d] over d | k: Dirichlet products; index
-    0 is unused."""
+    """At each k, the sum of f[d] * g[e] over d * e = k: Dirichlet products; index
+    0 is unused.  The N·H(N) terms up to N = len(f) - 1 take about 2√N slice
+    steps, split at s = isqrt(N) as in Dirichlet's hyperbola method: one over
+    the multiples of each d <= s, and, since d > s leaves e <= N // (s + 1),
+    one over d in s + 1..N // e for each such e.  f's value is always the left
+    factor, so noncommutative rings stay exact."""
     top = len(f) - 1
+    s = math.isqrt(top)
     out = [zero] * (top + 1)
-    for d in range(1, top + 1):
+    for d in range(1, s + 1):
         out[d::d] = map(add, out[d::d], map(mul, repeat(f[d]), g[1:top // d + 1]))
+    for e in range(1, top // (s + 1) + 1):
+        hi = top // e
+        run = slice((s + 1) * e, hi * e + 1, e)
+        out[run] = map(add, out[run], map(mul, f[s + 1:hi + 1], repeat(g[e])))
     return [out[k] for k in ks]
 
 

@@ -9,9 +9,10 @@ test drives support filtering in the series module.
 Elements are plain hashable Python values (int, Fraction, or a flat
 row-major 4-tuple for matrices); the ring object carries the operations,
 and series kernels call them as they are.  ``zero`` and ``one`` are class
-constants.  The integers and rationals bind ``add``, ``neg``, ``mul`` and
-``eq`` to the ``operator`` builtins, so their arithmetic costs no method
-call; ``mod n`` and ``mat2`` define their own methods.
+constants.  The integers and rationals bind ``add``, ``neg``, ``mul``,
+``eq`` and ``is_zero`` to the ``operator`` builtins and render with ``str``,
+so their arithmetic and output cost no method call; ``mod n`` and ``mat2``
+define their own methods.
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ class _Numbers:
     on as a first argument, which a builtin does not take."""
 
     add, neg, mul, eq = operator.add, operator.neg, operator.mul, operator.eq
+    is_zero = operator.not_
+    # str gives n or n/d, a decimal string any JSON consumer keeps exact
+    render = element_to_json = str
 
 
 @dataclass(frozen=True)
@@ -91,10 +95,6 @@ class IntRing(_Numbers, Ring):
 
     def is_element(self, a):
         return _is_int(a)
-
-    def element_to_json(self, a):
-        # decimal strings survive any JSON consumer at arbitrary precision
-        return str(a)
 
     def element_from_json(self, obj):
         if _is_int(obj):
@@ -123,10 +123,6 @@ class RationalRing(_Numbers, Ring):
 
     def is_element(self, a):
         return isinstance(a, Fraction) or _is_int(a)
-
-    def element_to_json(self, a):
-        q = Fraction(a)
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
     def element_from_json(self, obj):
         return parse_rational(obj)

@@ -481,17 +481,21 @@ def _evaluate(root: GenSeries, points) -> list:
 
 
 def _products(kernel, ring: Ring, f: list, g: list, ks: list) -> list:
-    """The kernel's values at ks; rationals run it on integer numerators."""
+    """The kernel's values at ks; rationals run it on integer numerators, and
+    need no division when every denominator is 1."""
     if isinstance(ring, RationalRing):
         (fi, fd), (gi, gd) = _lift(f), _lift(g)
+        values = kernel(fi, gi, ks, operator.add, operator.mul, 0)
         den = fd * gd
-        return [Fraction(v, den) for v in kernel(fi, gi, ks, operator.add, operator.mul, 0)]
+        return list(map(Fraction, values)) if den == 1 else [Fraction(v, den) for v in values]
     return kernel(f, g, ks, ring.add, ring.mul, ring.zero)
 
 
 def _lift(values: list):
     """Rationals as integer numerators over one common denominator."""
-    den = math.lcm(*[v.denominator for v in values])
+    den = math.lcm(*{v.denominator for v in values})
+    if den == 1:
+        return [v.numerator for v in values], 1
     return [v.numerator * (den // v.denominator) for v in values], den
 
 

@@ -617,3 +617,15 @@ def test_input_file_can_supply_the_ring(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["values"][3] == [4, {"mod": 5, "val": 3}]
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["dirichlet", "--expr", "zeta", "--n-max", "99999999999999999999"], "n-max"),
+    (["dirichlet", "--expr", "zeta", "--n-max", "1000001"], "n-max"),
+    (["series-eval", "--monoid", "nat", "--ring", "int", "--expr", "geometric",
+      "--window", "99999999999"], "window"),
+    (["puiseux", "--expr", "T^(1/2)", "--window", "1000001"], "window")])
+def test_a_window_past_the_size_cap_is_refused_before_it_is_built(capsys, argv, what):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {what} must be at most 1000000\n"

@@ -85,8 +85,18 @@ def test_json_literals_round_trip():
     # integers encode as decimal strings
     assert IntRing().element_to_json(42) == "42"
     assert RationalRing().element_to_json(Fraction(1, 2)) == "1/2"
+    assert [RationalRing().element_to_json(v) for v in (Fraction(4, 2), Fraction(-3), 5)] == [
+        "2", "-3", "5"]
+    assert RationalRing().render(Fraction(-6, 4)) == "-3/2"
     assert ModRing(6).element_to_json(3) == {"mod": 6, "val": 3}
     assert Mat2Ring().element_to_json((0, 1, 0, 0)) == [0, 1, 0, 0]
+
+
+@pytest.mark.parametrize("ring", [IntRing(), RationalRing(), ModRing(6), Mat2Ring()], ids=repr)
+def test_is_zero_holds_only_at_zero(ring):
+    assert ring.is_zero(ring.zero) is True
+    assert ring.is_zero(ring.one) is False
+    assert ring.is_zero(ring.from_int(-2)) is False
 
 
 def test_ring_specs():

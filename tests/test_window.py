@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genseries import (ALL, GridTail, InputError, IntRing, Mat2Ring, ModRing, TailGE,
-                       catalog_monoids, finite, free_words, from_function, from_terms,
+from genseries import (ALL, GridTail, InputError, IntRing, Mat2Ring, ModRing, RationalRing,
+                       TailGE, catalog_monoids, finite, free_words, from_function, from_terms,
                        geometric, integers, moebius, nat, posnat_mul, rational_grid,
                        truncated, zeta)
+from genseries import monoids
 from genseries.cli import eval_expression, main
-from genseries.series import _convolve, _post_order, power
+from genseries.series import _convolve, _lift, _post_order, _products, power
 
 import oracles
 from conftest import ALL_RINGS, element_pool, random_series, ring_samples
@@ -721,3 +722,72 @@ def test_powers_of_a_finite_table_answer_queries_as_the_left_fold(monoid, ring, 
         for m in points[::-3] + points[1::4]:  # down, then up again
             assert ring.eq(squared.coeff(m), want[m]) and ring.eq(fold.coeff(m), want[m])
         assert_same_table(fold, eager_product(monoid, ring, [f._memo] * 9))
+
+
+# ---------------------------------------------------------------------------
+# list kernels against brute force
+
+
+def brute_dirichlet(ring, f, g, k):
+    """The sum of f[d] * g[k / d] over the divisors d of k, in divisor order."""
+    return reduce(ring.add, (ring.mul(f[d], g[k // d]) for d in range(1, k + 1) if k % d == 0),
+                  ring.zero)
+
+
+def random_values(ring, rng, n):
+    """A value list over 0..n with index 0 unused, about one value in eight zero."""
+    pool = ring_samples(ring, rng, 7) + [ring.zero]
+    return [ring.zero] + [rng.choice(pool) for _ in range(n)]
+
+
+SIEVE_TOPS = sorted(set(range(1, 41)) | {k * k + i for k in range(2, 13) for i in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=repr)
+def test_the_sieve_is_the_divisor_sum(ring, rng):
+    for top in SIEVE_TOPS:
+        f, g = random_values(ring, rng, top), random_values(ring, rng, top)
+        ks = list(range(1, top + 1))
+        rng.shuffle(ks)
+        got = monoids._sieve(f, g, ks, ring.add, ring.mul, ring.zero)
+        assert got == [brute_dirichlet(ring, f, g, k) for k in ks], top
+
+
+def test_the_sieve_keeps_f_on_the_left():
+    e12, e21 = (0, 1, 0, 0), (0, 0, 1, 0)  # e12 * e21 != e21 * e12
+    ring = Mat2Ring()
+    for top in SIEVE_TOPS:
+        f, g = [ring.zero] + [e12] * top, [ring.zero] + [e21] * top
+        ks = list(range(1, top + 1))
+        got = monoids._sieve(f, g, ks, ring.add, ring.mul, ring.zero)
+        assert got == [brute_dirichlet(ring, f, g, k) for k in ks], top
+
+
+RATIONAL_LISTS = {
+    "integers": [Fraction(v) for v in (0, 1, -1, 3, 0, -4, 2, 1, -7, 5, 0, 6, 1)],
+    "mixed": [Fraction(v, d) for v, d in ((0, 1), (1, 2), (-2, 3), (5, 1), (7, 6), (-1, 4),
+                                          (3, 1), (0, 1), (-5, 2), (9, 8), (1, 1), (4, 3),
+                                          (-1, 12))],
+    "negatives": [Fraction(-v, d) for v, d in ((0, 1), (1, 1), (3, 2), (2, 1), (5, 3), (1, 1),
+                                               (7, 1), (4, 5), (2, 1), (1, 9), (6, 1), (3, 1),
+                                               (8, 7))],
+}
+
+
+@pytest.mark.parametrize("kernel", [monoids._cauchy, monoids._sieve],
+                         ids=lambda k: k.__name__)
+@pytest.mark.parametrize("left", RATIONAL_LISTS)
+@pytest.mark.parametrize("right", RATIONAL_LISTS)
+def test_rational_products_equal_the_kernel_on_fractions(kernel, left, right):
+    ring = RationalRing()
+    f, g = RATIONAL_LISTS[left], RATIONAL_LISTS[right]
+    ks = [12, 0, 5, 7, 1, 11, 3] if kernel is monoids._cauchy else [12, 5, 7, 1, 11, 3]
+    got = _products(kernel, ring, f, g, ks)
+    assert got == kernel(f, g, ks, operator.add, operator.mul, ring.zero)
+    assert all(type(v) is Fraction for v in got)
+
+
+def test_the_lift_divides_only_by_a_denominator_it_needs():
+    assert _lift(RATIONAL_LISTS["integers"]) == ([0, 1, -1, 3, 0, -4, 2, 1, -7, 5, 0, 6, 1], 1)
+    numerators, den = _lift([Fraction(1, 2), Fraction(-2, 3), Fraction(5), Fraction(0)])
+    assert (numerators, den) == ([3, -4, 30, 0], 6)
