@@ -5,8 +5,9 @@ content is the constructions themselves: equalizers by agreement of
 partial functions, products over carriers with adjoined undefinedness
 points, a three-stage coequalizer, and an internal hom of nonempty
 partial functions with evaluation and currying.  Verification counts
-every mediating partial function, point by point, so a corrupted
-construction is caught, not assumed away.
+every mediating partial function of every cone of the 0- and 1-point
+probes, point by point, so a corrupted construction is caught, not
+assumed away; composition is pointwise, so one point is enough.
 """
 
 from genseries.finspace import (PartialFn, Star, coequalizer, curry, ev,
@@ -63,7 +64,7 @@ print("uncurry restores the original:", uncurry(h, Z, A, B) == total)
 print()
 print("== the full sweep ==")
 failures, summary = verification_sweep(max_size=2, seed=0, parallel_samples=60,
-                                       cone_cap=40, family_samples=60, perp_size=3)
+                                       family_samples=60, perp_size=3)
 for line in summary:
     print(" ", line)
 print("failures:", failures if failures else "none")

@@ -412,7 +412,7 @@ def cmd_category_check(args) -> int:
         return _check_user_diagram(_load_input(args), args)
     failures, summary = finspace.verification_sweep(
         max_size=args.max_size, seed=args.seed,
-        parallel_samples=args.samples, cone_cap=60,
+        parallel_samples=args.samples,
         hom_size=min(args.max_size, 2), perp_size=3, family_samples=60)
     _emit(args, lambda: {"verified": not failures, "summary": summary, "failures": failures},
           lambda: "\n".join(summary + (["FAIL " + line for line in failures]

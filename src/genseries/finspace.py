@@ -12,9 +12,10 @@ returns exactly that -- so this module plays two roles:
 * the categorical constructions (equalizer, product with adjoined
   points, three-stage coequalizer, coproduct, internal hom, evaluation,
   currying) run on the forced structure, where their universal
-  properties are verified by counting every mediating partial function.
-  Composition is pointwise, so the mediators of a cone are a product of
-  per-point choices, each read from a table of the fixed legs.
+  properties are verified by counting every mediating partial function
+  of every cone of the 0- and 1-point probes.  Composition is pointwise,
+  so the mediators of a cone are a product of per-point choices, each
+  read from a table of the fixed legs, and one point is enough.
 
 Composition is partial-function composition; the empty partial function
 is the zero morphism because the empty space is a zero object.
@@ -441,7 +442,9 @@ def _mediators(dom: FinSpace, cod: FinSpace, check, limit=2) -> list[PartialFn]:
     (|cod|+1)^|dom| whole graphs.  check(None) asks the same of the
     undefined point, which every partial function sends to itself, so
     without None in that list there is no mediator.  Existence needs one
-    hit and uniqueness fails at two, hence `limit`.
+    hit and uniqueness fails at two, hence `limit`.  The verifiers run it
+    on every cone of the 0- and 1-point probes: mediators are chosen point
+    by point, so one point is enough.
     """
     if None not in check(None):
         return []
@@ -488,20 +491,22 @@ def _pre_check(cod: FinSpace, arrows):
     return for_cocones
 
 
-def default_probes(max_size: int = 2) -> list[FinSpace]:
-    pool = ["z1", "z2", "z3"]
-    return [space(pool[:k]) for k in range(max_size + 1)]
+# Composition is pointwise, so a mediator is chosen point by point: a cone
+# from any probe factors uniquely iff its restriction to each point does, and
+# a cocone into any probe iff each of its fibers, a cocone into one point,
+# does.  So every cone of these two probes checks every probe.
+_PROBES = (space([]), space(["z1"]))
 
 
 def verify_equalizer(f: PartialFn, g: PartialFn, eq_space: FinSpace,
-                     incl: PartialFn, probes=None) -> list[str]:
+                     incl: PartialFn) -> list[str]:
     """Check the equalizing cone and, for every probe cone, the unique
     mediator through the inclusion."""
     problems = []
     if compose(f, incl) != compose(g, incl):
         problems.append("inclusion does not equalize the pair")
     through = _post_check(eq_space, [incl])
-    for z in probes if probes is not None else default_probes():
+    for z in _PROBES:
         for h in all_partial_fns(z, f.dom):
             if any(f(h(x)) != g(h(x)) for x in z.carrier):
                 continue
@@ -513,17 +518,12 @@ def verify_equalizer(f: PartialFn, g: PartialFn, eq_space: FinSpace,
 
 
 def verify_product(spaces: list[FinSpace], prod: FinSpace,
-                   projections: list[PartialFn], probes=None,
-                   rng: random.Random | None = None,
-                   cone_cap: int | None = None) -> list[str]:
-    """For sampled cones, count mediators into the product."""
+                   projections: list[PartialFn]) -> list[str]:
+    """For every probe cone, count mediators into the product."""
     problems = []
     through = _post_check(prod, projections)
-    for z in probes if probes is not None else default_probes():
-        cones = list(itertools.product(*[all_partial_fns(z, sp) for sp in spaces]))
-        if cone_cap is not None and len(cones) > cone_cap:
-            cones = (rng or random.Random(0)).sample(cones, cone_cap)
-        for cone in cones:
+    for z in _PROBES:
+        for cone in itertools.product(*[all_partial_fns(z, sp) for sp in spaces]):
             hits = _mediators(z, prod, through(cone))
             if len(hits) != 1:
                 problems.append(
@@ -532,16 +532,11 @@ def verify_product(spaces: list[FinSpace], prod: FinSpace,
 
 
 def verify_coproduct(spaces: list[FinSpace], cop: FinSpace,
-                     injections: list[PartialFn], probes=None,
-                     rng: random.Random | None = None,
-                     cone_cap: int | None = None) -> list[str]:
+                     injections: list[PartialFn]) -> list[str]:
     problems = []
-    for z in probes if probes is not None else default_probes():
+    for z in _PROBES:
         through = _pre_check(z, injections)
-        cocones = list(itertools.product(*[all_partial_fns(sp, z) for sp in spaces]))
-        if cone_cap is not None and len(cocones) > cone_cap:
-            cocones = (rng or random.Random(0)).sample(cocones, cone_cap)
-        for cocone in cocones:
+        for cocone in itertools.product(*[all_partial_fns(sp, z) for sp in spaces]):
             hits = _mediators(cop, z, through(cocone))
             if len(hits) != 1:
                 problems.append(
@@ -550,11 +545,11 @@ def verify_coproduct(spaces: list[FinSpace], cop: FinSpace,
 
 
 def verify_coequalizer(f: PartialFn, g: PartialFn, q_space: FinSpace,
-                       qmap: PartialFn, probes=None) -> list[str]:
+                       qmap: PartialFn) -> list[str]:
     problems = []
     if compose(qmap, f) != compose(qmap, g):
         problems.append("quotient map does not coequalize the pair")
-    for z in probes if probes is not None else default_probes():
+    for z in _PROBES:
         through = _pre_check(z, [qmap])
         for h in all_partial_fns(f.cod, z):
             if any(h(f(x)) != h(g(x)) for x in f.dom.carrier):
@@ -564,35 +559,6 @@ def verify_coequalizer(f: PartialFn, g: PartialFn, q_space: FinSpace,
                 problems.append(
                     f"coequalizer mediation failed for cocone {h!r}: {len(hits)} mediators")
     return problems
-
-
-def verify_universal(kind: str, size_cap: int = 3, **kw) -> list[str]:
-    """Dispatch by construction kind; empty report means verified.
-
-    The diagram's input carriers must stay within size_cap (default 3):
-    cone enumeration is exponential and meant for desk-scale checking.
-    """
-    if kind in ("equalizer", "coequalizer"):
-        diagram = [kw["f"].dom, kw["f"].cod]
-    elif kind in ("product", "coproduct"):
-        diagram = kw["spaces"]
-    else:
-        raise InputError(f"unknown construction kind {kind!r}")
-    for sp in diagram:
-        if len(sp) > size_cap:
-            raise SizeBoundError(
-                f"diagram space has {len(sp)} points, verification capped at {size_cap}")
-    if kind == "equalizer":
-        return verify_equalizer(kw["f"], kw["g"], kw["space"], kw["arrow"],
-                                kw.get("probes"))
-    if kind == "product":
-        return verify_product(kw["spaces"], kw["space"], kw["arrows"],
-                              kw.get("probes"), kw.get("rng"), kw.get("cone_cap"))
-    if kind == "coproduct":
-        return verify_coproduct(kw["spaces"], kw["space"], kw["arrows"],
-                                kw.get("probes"), kw.get("rng"), kw.get("cone_cap"))
-    return verify_coequalizer(kw["f"], kw["g"], kw["space"], kw["arrow"],
-                              kw.get("probes"))
 
 
 # ---------------------------------------------------------------------------
@@ -656,13 +622,15 @@ def _random_parallel_pair(rng: random.Random, max_size: int):
 
 
 def verification_sweep(max_size: int = 3, seed: int = 0,
-                       parallel_samples: int = 500, cone_cap: int = 120,
+                       parallel_samples: int = 500,
                        hom_size: int = 2, perp_size: int = 4,
                        family_samples: int = 200) -> tuple[list[str], list[str]]:
     """Run the whole category test battery; returns (failures, summary).
 
     Equalizers and coequalizers run on seeded random parallel pairs;
     products and coproducts on every pair of carrier sizes up to max_size;
+    each universal property is checked on every cone of the 0- and 1-point
+    probes, which is enough because composition is pointwise;
     the curry/uncurry bijection is counted exactly up to hom_size; the
     dual-operator laws are sampled over random families up to perp_size.
     """
@@ -671,14 +639,13 @@ def verification_sweep(max_size: int = 3, seed: int = 0,
     rng = random.Random(seed)
     failures: list[str] = []
     summary: list[str] = []
-    probes = default_probes(2)
 
     for _ in range(parallel_samples):
         f, g = _random_parallel_pair(rng, max_size)
         eq_space, incl = equalizer(f, g)
-        failures += verify_equalizer(f, g, eq_space, incl, probes)
+        failures += verify_equalizer(f, g, eq_space, incl)
         q_space, qmap = coequalizer(f, g)
-        failures += verify_coequalizer(f, g, q_space, qmap, probes)
+        failures += verify_coequalizer(f, g, q_space, qmap)
     summary.append(f"equalizers+coequalizers: {parallel_samples} parallel pairs")
 
     letters = ["a", "b", "c"]
@@ -688,9 +655,9 @@ def verification_sweep(max_size: int = 3, seed: int = 0,
         for ny in range(max_size + 1):
             pair = [space(letters[:nx]), space(others[:ny])]
             prod, projs = product(pair)
-            failures += verify_product(pair, prod, projs, probes, rng, cone_cap)
+            failures += verify_product(pair, prod, projs)
             cop, injs = coproduct(pair)
-            failures += verify_coproduct(pair, cop, injs, probes, rng, cone_cap)
+            failures += verify_coproduct(pair, cop, injs)
             pair_count += 1
     prod0, _ = product([])
     if len(prod0) != 0:

@@ -295,7 +295,7 @@ def suite_truncated(seed):
 
 def suite_category(seed):
     failures, _ = finspace.verification_sweep(
-        max_size=2, seed=seed, parallel_samples=40, cone_cap=40,
+        max_size=2, seed=seed, parallel_samples=40,
         hom_size=2, perp_size=3, family_samples=40)
     return failures[0] if failures else None
 

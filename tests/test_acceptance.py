@@ -164,12 +164,13 @@ def test_criterion_5_truncated_partial_ring():
 
 
 def test_criterion_6_category_verification():
-    """Universal properties by counting every mediator: 500 seeded
-    parallel pairs (equalizer + coequalizer), all space pairs <= 3 for
-    products/coproducts, exact curry/uncurry counting <= 2, dual-operator
-    laws over 200 sampled families with |X| <= 4."""
+    """Universal properties by counting every mediator of every cone of
+    the 0- and 1-point probes (composition is pointwise, so one point is
+    enough): 500 seeded parallel pairs (equalizer + coequalizer), all
+    space pairs <= 3 for products/coproducts, exact curry/uncurry counting
+    <= 2, dual-operator laws over 200 sampled families with |X| <= 4."""
     failures, summary = verification_sweep(
-        max_size=3, seed=0, parallel_samples=500, cone_cap=120,
+        max_size=3, seed=0, parallel_samples=500,
         hom_size=2, perp_size=4, family_samples=200)
     assert failures == [], failures[:5]
     assert len(summary) == 5

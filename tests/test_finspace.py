@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 import pathlib
@@ -16,8 +17,7 @@ from genseries.finspace import (PartialFn, Star, all_partial_fns, associator,
                                 space, symmetry, system, tensor, tensor_mor,
                                 uncurry, unit_space, verification_sweep,
                                 verify_coequalizer, verify_coproduct,
-                                verify_equalizer, verify_product,
-                                verify_universal)
+                                verify_equalizer, verify_product)
 
 
 def pfn(dom, cod, mapping):
@@ -393,21 +393,12 @@ def test_hom_family_conditions_on_restricted_systems():
 
 
 # ---------------------------------------------------------------------------
-# dispatcher and sweep
-
-
-def test_verify_universal_dispatch():
-    x, y = space(["x"]), space(["y"])
-    f = empty_fn(x, y)
-    e, incl = equalizer(f, f)
-    assert verify_universal("equalizer", f=f, g=f, space=e, arrow=incl) == []
-    with pytest.raises(InputError):
-        verify_universal("pullback")
+# sweep
 
 
 def test_verification_sweep_small():
     failures, summary = verification_sweep(
-        max_size=2, seed=1, parallel_samples=25, cone_cap=30,
+        max_size=2, seed=1, parallel_samples=25,
         hom_size=1, perp_size=3, family_samples=25)
     assert failures == []
     assert len(summary) == 5
@@ -424,17 +415,6 @@ def test_composition_associativity_exhaustive_size_three():
                 assert compose(h, gf) == compose(compose(h, g), f)
     for f in fs:
         assert compose(f, identity(a)) == f == compose(identity(b), f)
-
-
-def test_verify_universal_enforces_size_cap():
-    big = space([f"p{i}" for i in range(5)])
-    small = space(["q"])
-    f = empty_fn(big, small)
-    e, incl = equalizer(f, f)
-    with pytest.raises(SizeBoundError):
-        verify_universal("equalizer", f=f, g=f, space=e, arrow=incl)
-    assert verify_universal("equalizer", f=f, g=f, space=e, arrow=incl,
-                            size_cap=5) == []
 
 
 def test_is_morphism_rejects_mismatched_systems():
@@ -466,9 +446,6 @@ def pointwise_counts(monkeypatch):
         return real(dom, cod, check, limit)
     monkeypatch.setattr(finspace, "_mediators", spy)
     return counts
-
-
-PROBES = finspace.default_probes(2)
 
 
 def small_spaces(labels):
@@ -535,26 +512,26 @@ def test_pointwise_equalizer_and_coequalizer_counts_match_raw_enumeration(pointw
     for f, g in parallel_pairs():
         for eq, incl in equalizer_variants(f, g):
             expected = []
-            for z in PROBES:
+            for z in finspace._PROBES:
                 for h in all_partial_fns(z, f.dom):
                     if compose(f, h) == compose(g, h):
                         expected.append(raw_mediators(
                             z, eq, lambda k, h=h: compose(incl, k) == h))
             pointwise_counts.clear()
-            report = verify_equalizer(f, g, eq, incl, PROBES)
+            report = verify_equalizer(f, g, eq, incl)
             assert pointwise_counts == expected
             assert len([c for c in expected if c != 1]) == len(
                 [line for line in report if "mediators" in line])
             seen.update(expected)
         for q, qmap in coequalizer_variants(f, g):
             expected = []
-            for z in PROBES:
+            for z in finspace._PROBES:
                 for h in all_partial_fns(f.cod, z):
                     if compose(h, f) == compose(h, g):
                         expected.append(raw_mediators(
                             q, z, lambda k, h=h: compose(k, qmap) == h))
             pointwise_counts.clear()
-            verify_coequalizer(f, g, q, qmap, PROBES)
+            verify_coequalizer(f, g, q, qmap)
             assert pointwise_counts == expected
             seen.update(expected)
     assert {0, 1, 2} <= seen
@@ -574,12 +551,12 @@ def test_pointwise_product_and_coproduct_counts_match_raw_enumeration(pointwise_
                 variants.append((legs[0].dom, legs))
             for sp, legs in variants:
                 expected = []
-                for z in PROBES:
+                for z in finspace._PROBES:
                     for cone in itertools.product(*[all_partial_fns(z, x) for x in pair]):
                         expected.append(raw_mediators(z, sp, lambda k, cone=cone: all(
                             compose(pi, k) == fi for pi, fi in zip(legs, cone))))
                 pointwise_counts.clear()
-                report = verify_product(pair, sp, legs, PROBES)
+                report = verify_product(pair, sp, legs)
                 assert pointwise_counts == expected
                 assert len(report) == len([c for c in expected if c != 1])
                 seen.update(expected)
@@ -597,12 +574,125 @@ def test_pointwise_product_and_coproduct_counts_match_raw_enumeration(pointwise_
                                      + injs[i + 1:]))
             for sp, legs in variants:
                 expected = []
-                for z in PROBES:
+                for z in finspace._PROBES:
                     for cocone in itertools.product(*[all_partial_fns(x, z) for x in pair]):
                         expected.append(raw_mediators(sp, z, lambda k, cocone=cocone: all(
                             compose(k, si) == fi for si, fi in zip(legs, cocone))))
                 pointwise_counts.clear()
-                verify_coproduct(pair, sp, legs, PROBES)
+                verify_coproduct(pair, sp, legs)
                 assert pointwise_counts == expected
                 seen.update(expected)
     assert {0, 1, 2} <= seen
+
+
+# ---------------------------------------------------------------------------
+# the verdict on the 0- and 1-point probes against brute force up to 2 points
+
+
+BRUTE_PROBES = [space(["z1", "z2"][:k]) for k in range(3)]
+
+
+def factor_once(cones, candidates, legs_of):
+    """Whether each cone is legs_of(k) for exactly one candidate k: every
+    candidate is composed with the legs once, then each cone looked up."""
+    counts = collections.Counter(legs_of(k) for k in candidates)
+    return all(counts[tuple(cone)] == 1 for cone in cones)
+
+
+def brute_limit(sp, legs, cones_from):
+    """Whether each cone from each probe z up to 2 points is (leg . k) for
+    exactly one k: z -> sp."""
+    return all(factor_once(cones_from(z), all_partial_fns(z, sp),
+                           lambda k: tuple(compose(leg, k) for leg in legs))
+               for z in BRUTE_PROBES)
+
+
+def brute_colimit(sp, legs, cocones_into):
+    """Whether each cocone into each probe z up to 2 points is (k . leg) for
+    exactly one k: sp -> z."""
+    return all(factor_once(cocones_into(z), all_partial_fns(sp, z),
+                           lambda k: tuple(compose(k, leg) for leg in legs))
+               for z in BRUTE_PROBES)
+
+
+def product_mutations(pair):
+    """The product, one missing an X×Y point, and one with a projection left
+    undefined at a point."""
+    prod, projs = product(pair)
+    yield None, prod, projs
+    if all(len(x) for x in pair):
+        t = tuple(x.carrier[0] for x in pair)
+        smaller = space([u for u in prod.carrier if u != t])
+        yield "product missing an X×Y point", smaller, [
+            PartialFn(smaller, pr.cod, {u: v for u, v in pr.mapping.items() if u != t})
+            for pr in projs]
+    if len(pair[0]):
+        mapping = projs[0].mapping
+        del mapping[projs[0].defined_on()[0]]
+        yield "projection undefined at a point", prod, [PartialFn(prod, pair[0], mapping),
+                                                        *projs[1:]]
+
+
+def coproduct_mutations(pair):
+    """The coproduct, and one with an injection left undefined at a point."""
+    cop, injs = coproduct(pair)
+    yield None, cop, injs
+    if len(pair[0]):
+        mapping = injs[0].mapping
+        del mapping[pair[0].carrier[0]]
+        yield "partial coproduct injection", cop, [PartialFn(pair[0], cop, mapping), *injs[1:]]
+
+
+def equalizer_mutations(f, g):
+    """The equalizer, and one that includes a point where f and g disagree."""
+    eq, incl = equalizer(f, g)
+    yield None, eq, incl
+    disagree = [x for x in f.dom.carrier if f(x) != g(x)]
+    if disagree:
+        bigger = space([*eq.carrier, disagree[0]])
+        yield "equalizer with a disagreeing point", bigger, PartialFn(
+            bigger, f.dom, {x: x for x in bigger.carrier})
+
+
+def coequalizer_mutations(f, g):
+    """The coequalizer, and one that merges its first two classes."""
+    q, qmap = coequalizer(f, g)
+    yield None, q, qmap
+    if len(q) >= 2:
+        first, second = q.carrier[:2]
+        merged = space(q.carrier[1:])
+        yield "coequalizer merging two classes", merged, PartialFn(
+            f.cod, merged, {y: second if c == first else c for y, c in qmap.mapping.items()})
+
+
+def test_one_point_verdict_is_the_brute_force_verdict_up_to_two_points():
+    """For every space pair up to 3+3 points and every parallel pair up to
+    2+2, the report is empty exactly when the construction is a (co)cone
+    and every (co)cone of every probe up to 2 points has one mediator by
+    brute force: true on the real constructions, false on each mutation."""
+    seen = set()
+
+    def agree(mutation, report, brute_ok):
+        assert (report == []) == brute_ok == (mutation is None), (mutation, report)
+        seen.add(mutation)
+
+    for nx, ny in itertools.product(range(4), repeat=2):
+        pair = [space(["a", "b", "c"][:nx]), space(["p", "q", "r"][:ny])]
+        for mutation, sp, legs in product_mutations(pair):
+            agree(mutation, verify_product(pair, sp, legs), brute_limit(
+                sp, legs, lambda z: itertools.product(*[all_partial_fns(z, x) for x in pair])))
+        for mutation, sp, legs in coproduct_mutations(pair):
+            agree(mutation, verify_coproduct(pair, sp, legs), brute_colimit(
+                sp, legs, lambda z: itertools.product(*[all_partial_fns(x, z) for x in pair])))
+    for f, g in parallel_pairs():
+        for mutation, eq, incl in equalizer_mutations(f, g):
+            agree(mutation, verify_equalizer(f, g, eq, incl),
+                  compose(f, incl) == compose(g, incl) and brute_limit(eq, [incl], lambda z: [
+                      (h,) for h in all_partial_fns(z, f.dom) if compose(f, h) == compose(g, h)]))
+        for mutation, q, qmap in coequalizer_mutations(f, g):
+            agree(mutation, verify_coequalizer(f, g, q, qmap),
+                  compose(qmap, f) == compose(qmap, g) and brute_colimit(q, [qmap], lambda z: [
+                      (h,) for h in all_partial_fns(f.cod, z) if compose(h, f) == compose(h, g)]))
+    assert seen == {None, "product missing an X×Y point", "projection undefined at a point",
+                    "partial coproduct injection", "equalizer with a disagreeing point",
+                    "coequalizer merging two classes"}
