@@ -5,8 +5,8 @@ content is the constructions themselves: equalizers by agreement of
 partial functions, products over carriers with adjoined undefinedness
 points, a three-stage coequalizer, and an internal hom of nonempty
 partial functions with evaluation and currying.  Verification counts
-every mediating partial function of every cone of the 0- and 1-point
-probes, point by point, so a corrupted construction is caught, not
+every mediating partial function of every cone of the one-point probe,
+point by point, so a corrupted construction is caught, not
 assumed away; composition is pointwise, so one point is enough.
 """
 

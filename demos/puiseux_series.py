@@ -1,10 +1,10 @@
 """Puiseux series: fractional exponents on fixed denominator grids.
 
 A tail descriptor GridTail(a, n) stands for the exponent set
-{i/n : i >= a}.  Products of tails land in the tail of the refined grid:
-GridTail(a, n) * GridTail(b, m) is bounded by GridTail(a*m + b*n, n*m),
-and each product exponent has finitely many decompositions, enumerated
-over a closed-form index range.
+{i/n : i >= a}.  Products of tails land in a tail on the common grid
+g = lcm(n, m): GridTail(a, n) * GridTail(b, m) is bounded by
+GridTail(a*(g/n) + b*(g/m), g), and each product exponent has finitely
+many decompositions, one arithmetic progression of offsets on that grid.
 """
 
 from fractions import Fraction

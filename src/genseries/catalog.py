@@ -67,6 +67,7 @@ class TailGE:
     """The set of integers {i : i >= a}."""
 
     a: int
+    n = 1  # the grid of 1: GridTail(a, 1) on the integers; not a field
 
     def __post_init__(self):
         if not _is_int(self.a):

@@ -13,9 +13,9 @@ returns exactly that -- so this module plays two roles:
   points, three-stage coequalizer, coproduct, internal hom, evaluation,
   currying) run on the forced structure, where their universal
   properties are verified by counting every mediating partial function
-  of every cone of the 0- and 1-point probes.  Composition is pointwise,
-  so the mediators of a cone are a product of per-point choices, each
-  read from a table of the fixed legs, and one point is enough.
+  of every cone of the one-point probe.  Composition is pointwise, so
+  the mediators of a cone are a product of per-point choices, each read
+  from a table of the fixed legs, and one point is enough.
 
 Composition is partial-function composition; the empty partial function
 is the zero morphism because the empty space is a zero object.
@@ -443,8 +443,8 @@ def _mediators(dom: FinSpace, cod: FinSpace, check, limit=2) -> list[PartialFn]:
     undefined point, which every partial function sends to itself, so
     without None in that list there is no mediator.  Existence needs one
     hit and uniqueness fails at two, hence `limit`.  The verifiers run it
-    on every cone of the 0- and 1-point probes: mediators are chosen point
-    by point, so one point is enough.
+    on every cone of the one-point probe: mediators are chosen point by
+    point, so one point is enough.
     """
     if None not in check(None):
         return []
@@ -494,8 +494,9 @@ def _pre_check(cod: FinSpace, arrows):
 # Composition is pointwise, so a mediator is chosen point by point: a cone
 # from any probe factors uniquely iff its restriction to each point does, and
 # a cocone into any probe iff each of its fibers, a cocone into one point,
-# does.  So every cone of these two probes checks every probe.
-_PROBES = (space([]), space(["z1"]))
+# does.  So every cone of the one-point probe checks every probe; the empty
+# space's one (co)cone has one mediator whatever the construction.
+_PROBES = (space(["z1"]),)
 
 
 def verify_equalizer(f: PartialFn, g: PartialFn, eq_space: FinSpace,
@@ -629,8 +630,8 @@ def verification_sweep(max_size: int = 3, seed: int = 0,
 
     Equalizers and coequalizers run on seeded random parallel pairs;
     products and coproducts on every pair of carrier sizes up to max_size;
-    each universal property is checked on every cone of the 0- and 1-point
-    probes, which is enough because composition is pointwise;
+    each universal property is checked on every cone of the one-point
+    probe, which is enough because composition is pointwise;
     the curry/uncurry bijection is counted exactly up to hom_size; the
     dual-operator laws are sampled over random families up to perp_size.
     """

@@ -11,8 +11,8 @@ convolution of lazy series computable:
   pointwise preimages of the multiplication.
 * ``mul_bound`` / ``union_bound`` push descriptors through products and
   sums, over-approximating supports while staying inside the admitted
-  grammar.  For rational grid tails the product bound is the tail
-  ``{k/(n*m) : k >= a*m + b*n}``, the sharp bound for sums of two tails.
+  grammar.  Two tails on the grids n and m bound their product by the tail
+  on lcm(n, m) from the sum of their least points.
 
 A carrier in :mod:`genseries.catalog` holds only its elements and its
 order; its monoid structure lives here, in one class per product family:
@@ -24,6 +24,8 @@ finite sets and the window of its tail kind), tail bounds, the element a
 bare ``T`` denotes, its list kernel for products of two infinite series
 and, where products grow with their factors, ``cofactor_top``, how far a
 query into a product of two finite series needs each factor.  The
+integers and the rational grid share one base for their tails, on which
+``TailGE(a)`` is the grid tail from a on the grid of 1.  The
 ``Monoid`` base holds the descriptor protocol that every monoid shares:
 finite sets, their bounds and their windows.
 
@@ -51,7 +53,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import repeat
+from itertools import count, repeat
 
 from .catalog import (ALL, All, Carrier, Descriptor, FiniteSet, FreeWords,
                       GridTail, IntDiscrete, IntUsual, NatDiscrete, NatUsual,
@@ -123,7 +125,7 @@ class Monoid:
     # kind it admits, if any, and the hooks: ``_window`` (every element in
     # the window), ``_in_window`` (which finite-set members it keeps) and,
     # for its infinite kind, ``_tail_window`` and the bounds ``tail_mul_bound``
-    # and ``tail_union_bound``.
+    # and ``tail_union_bound``; the integer and grid tails share one set.
 
     _infinite_kind = None
 
@@ -327,7 +329,48 @@ class _TruncMonoid(_NatMonoid):
         return list(range(min(self.carrier.n, region) + 1))
 
 
-class _IntMonoid(CatalogMonoid):
+class _TailMonoid(CatalogMonoid):
+    """The additive numbers with tails, ``int`` and ``rational-grid``: x -> n*x
+    carries ``GridTail(a, n)`` onto ``TailGE(a)``, the tail on the grid of 1,
+    so tail arithmetic runs here once, on integer offsets over the lcm of the
+    grids.  A family gives its ``_tail`` and ``_points`` of offsets on a grid
+    n, its window, unit, generator and product."""
+
+    def _candidates(self, m, s, t):
+        if isinstance(s, FiniteSet):
+            return [(x, self.product(m, -x)) for x in s.elements]
+        if isinstance(t, FiniteSet):
+            return [(self.product(m, -y), y) for y in t.elements]
+        # two tails: on g = lcm(n, k), i/n + j/k = m reads i*si + j*sj = c
+        # with si = g/n and sj = g/k coprime, so i runs by sj from the least
+        # i >= s.a with sj | c - i*si, and j runs down by si alongside to t.a
+        n, k = s.n, t.n
+        g = math.lcm(n, k)
+        if g % m.denominator:
+            return []  # m lies off the grid of every sum
+        c = m.numerator * (g // m.denominator)
+        si, sj = g // n, g // k
+        i = s.a + (c * pow(si, -1, sj) - s.a) % sj
+        js = range((c - i * si) // sj, t.a - 1, -si)
+        return list(zip(self._points(count(i, sj), n), self._points(js, k)))
+
+    def tail_mul_bound(self, s, t):
+        # the tail from the sum of the two sides' least points
+        if (low_s := _cover(s)) is None or (low_t := _cover(t)) is None:
+            return finite()
+        (a, n), (b, k) = low_s, low_t
+        g = math.lcm(n, k)
+        return self._tail(a * (g // n) + b * (g // k), g)
+
+    def tail_union_bound(self, s, t):
+        return self._tail(*_cover(s, t))
+
+    def _tail_window(self, desc, region):
+        n = desc.n
+        return list(self._points(range(max(desc.a, -region * n), region * n + 1), n))
+
+
+class _IntMonoid(_TailMonoid):
     """The integers under addition: ``int`` and ``int-discrete``."""
 
     unit = 0
@@ -335,26 +378,16 @@ class _IntMonoid(CatalogMonoid):
     product = staticmethod(operator.add)
     cofactor_top = staticmethod(operator.sub)
 
-    def _candidates(self, m, s, t):
-        if isinstance(s, FiniteSet):
-            return [(x, m - x) for x in s.elements]
-        if isinstance(t, FiniteSet):
-            return [(m - y, y) for y in t.elements]
-        # two tails: m1 >= s.a and m2 = m - m1 >= t.a bound the scan
-        return [(i, m - i) for i in range(s.a, m - t.a + 1)]
+    @staticmethod
+    def _tail(a, n):
+        return TailGE(a)  # n is 1: integer offsets stay on the grid of 1
 
-    def tail_mul_bound(self, s, t):
-        lo_s, lo_t = _lowest(s), _lowest(t)
-        return finite() if lo_s is None or lo_t is None else TailGE(lo_s + lo_t)
-
-    def tail_union_bound(self, s, t):
-        return TailGE(min(lo for lo in (_lowest(s), _lowest(t)) if lo is not None))
+    @staticmethod
+    def _points(offsets, n):
+        return offsets  # on the grid of 1 the offsets are the points
 
     def _window(self, region):
         return list(range(-region, region + 1))
-
-    def _tail_window(self, desc, region):
-        return list(range(max(desc.a, -region), region + 1))
 
 
 class _PosNatMonoid(CatalogMonoid):
@@ -381,7 +414,7 @@ class _PosNatMonoid(CatalogMonoid):
         return _sieve if len(points) == max(points) else None
 
 
-class _GridMonoid(CatalogMonoid):
+class _GridMonoid(_TailMonoid):
     """The rationals under addition: ``rational-grid``, Puiseux exponents.
 
     A window holds every rational with denominator and absolute value
@@ -390,47 +423,15 @@ class _GridMonoid(CatalogMonoid):
 
     unit = Fraction(0)
     generator = Fraction(1)
+    _tail = staticmethod(GridTail)
 
     @staticmethod
     def product(a, b):
         return Fraction(a) + Fraction(b)
 
-    def _candidates(self, m, s, t):
-        if isinstance(s, FiniteSet):
-            return [(x, Fraction(m) - Fraction(x)) for x in s.elements]
-        if isinstance(t, FiniteSet):
-            return [(Fraction(m) - Fraction(y), y) for y in t.elements]
-        # Writing the target as c/p, a pair (i/n, j/mm) sums to it exactly
-        # when i*mm*p + j*n*p = n*mm*c; with j >= b this pins i into the
-        # interval a <= i <= (n*mm*c - b*n*p) / (mm*p), and each i admits at
-        # most one j.
-        q = Fraction(m)
-        n, a = s.n, s.a
-        mm, b = t.n, t.a
-        c, p = q.numerator, q.denominator
-        hi = (n * mm * c - b * n * p) // (mm * p)
-        out = []
-        for i in range(a, hi + 1):
-            j = (q - Fraction(i, n)) * mm
-            if j.denominator == 1 and j.numerator >= b:
-                out.append((Fraction(i, n), Fraction(j.numerator, mm)))
-        return out
-
-    def tail_mul_bound(self, s, t):
-        if isinstance(t, FiniteSet):
-            s, t = t, s  # the product commutes
-        if isinstance(s, FiniteSet):
-            shifted = [_shift_tail(x, t) for x in s.elements]
-            return reduce(_merge_tails, shifted) if shifted else finite()
-        # two tails: {i/n + j/m} lands in the tail of the product grid
-        return GridTail(s.a * t.n + t.a * s.n, s.n * t.n)
-
-    def tail_union_bound(self, s, t):
-        tails = [d for d in (s, t) if isinstance(d, GridTail)]
-        # the tail from x is the naturals shifted by x
-        points = [_shift_tail(x, GridTail(0, 1)) for d in (s, t) if isinstance(d, FiniteSet)
-                  for x in d.elements]
-        return reduce(_merge_tails, tails + points)
+    @staticmethod
+    def _points(offsets, n):
+        return map(Fraction, offsets, repeat(n))
 
     def _window(self, region):
         # the Farey fractions of order n on [0, 1), in order by the next-term
@@ -443,10 +444,6 @@ class _GridMonoid(CatalogMonoid):
             a, b, c, d = c, d, k * c - a, k * d - b
         return [Fraction(i * q + p, q) for i in range(-region, region)
                 for p, q in farey] + [Fraction(region)]
-
-    def _tail_window(self, desc, region):
-        lo = max(desc.a, -region * desc.n)
-        return [Fraction(i, desc.n) for i in range(lo, region * desc.n + 1)]
 
 
 class _WordMonoid(CatalogMonoid):
@@ -483,21 +480,16 @@ _FAMILY = {NatUsual: _NatMonoid, NatDiscrete: _NatMonoid, Truncated: _TruncMonoi
            RationalGrid: _GridMonoid, FreeWords: _WordMonoid}
 
 
-def _shift_tail(x, tail: GridTail) -> GridTail:
-    q = Fraction(x)
-    g = math.lcm(q.denominator, tail.n)
-    offset = q.numerator * (g // q.denominator) + tail.a * (g // tail.n)
-    return GridTail(offset, g)
-
-
-def _lowest(desc):
-    """The least member of an integer descriptor, None if it is empty."""
-    return desc.a if isinstance(desc, TailGE) else min(desc.elements, default=None)
-
-
-def _merge_tails(s: GridTail, t: GridTail) -> GridTail:
-    g = math.lcm(s.n, t.n)
-    return GridTail(min(s.a * (g // s.n), t.a * (g // t.n)), g)
+def _cover(*descs):
+    """(a, n) for the least tail {i/n : i >= a} holding the descriptors, each
+    a tail or a finite set of numbers; None if they are empty."""
+    points = [(d.a, d.n) for d in descs if not isinstance(d, FiniteSet)]
+    points += [(x.numerator, x.denominator) for d in descs if isinstance(d, FiniteSet)
+               for x in d.elements]
+    if not points:
+        return None
+    g = math.lcm(*(n for _, n in points))
+    return min(a * (g // n) for a, n in points), g
 
 
 # ---------------------------------------------------------------------------

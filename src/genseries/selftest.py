@@ -9,6 +9,7 @@ pytest suite draws from, so both batteries see the same kinds of data.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -112,9 +113,7 @@ def _covering_window(monoid, m, s, t):
 
 
 def _lower(desc):
-    if isinstance(desc, TailGE):
-        return desc.a
-    if isinstance(desc, GridTail):
+    if isinstance(desc, (TailGE, GridTail)):
         return desc.a  # offset magnitude dominates the tail's lowest value
     if isinstance(desc, FiniteSet) and desc.elements:
         keys = [abs(int(Fraction(e))) if not isinstance(e, str) else len(e)
@@ -262,12 +261,13 @@ def suite_dirichlet(seed):
 def suite_puiseux(seed):
     rng = random.Random(seed)
     monoid = rational_grid()
-    for _ in range(50):
-        a, n = rng.randint(-4, 4), rng.randint(1, 4)
-        b, m = rng.randint(-4, 4), rng.randint(1, 4)
+    pairs = [(rng.randint(-4, 4), rng.randint(1, 4), rng.randint(-4, 4), rng.randint(1, 4))
+             for _ in range(50)]
+    for a, n, b, m in pairs + [(1, 4, -1, 6), (-3, 2, 2, 2), (2, 6, -5, 9)]:
         s, t = GridTail(a, n), GridTail(b, m)
         bound = monoid.mul_bound(s, t)
-        if bound != GridTail(a * m + b * n, n * m):
+        g = math.lcm(n, m)  # two grids meet on their lcm
+        if bound != GridTail(a * (g // n) + b * (g // m), g):
             return f"grid product bound is {bound!r}"
         for i in range(a, a + 5):
             for j in range(b, b + 5):

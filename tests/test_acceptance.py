@@ -5,6 +5,7 @@ line per criterion.  Every tolerance is exact equality -- all arithmetic
 in the library is arbitrary-precision.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -64,7 +65,7 @@ def test_criterion_1_ring_axioms_over_catalog():
 
 def test_criterion_2_decomposition_oracle_equivalence():
     """decompose_within equals enumerate-and-filter brute force, 500 samples
-    per catalog monoid; Puiseux scans exactly the closed-form index range."""
+    per catalog monoid; Puiseux lists exactly the progression on the common grid."""
     rng = random.Random(2)
     for monoid in catalog_monoids():
         pool = element_pool(monoid)
@@ -123,18 +124,25 @@ def test_criterion_3_dirichlet_reproduction():
 
 
 def test_criterion_4_puiseux_support_law():
-    """200 random tail pairs: every sampled product lands in the bound tail."""
+    """200 random tail pairs and a few with gcd(n, m) > 1: the bound is the
+    tail on lcm(n, m) from the sum of the least points, and every sampled
+    product lands in it."""
     rng = random.Random(4)
     grid = rational_grid()
-    for _ in range(200):
-        a, n = rng.randint(-6, 6), rng.randint(1, 5)
-        b, m = rng.randint(-6, 6), rng.randint(1, 5)
+
+    def check(a, n, b, m):
         bound = grid.mul_bound(GridTail(a, n), GridTail(b, m))
-        assert bound == GridTail(a * m + b * n, n * m)
+        g = math.lcm(n, m)
+        assert bound == GridTail(a * (g // n) + b * (g // m), g)
         for _ in range(12):
             x = Fraction(a + rng.randint(0, 9), n)
             y = Fraction(b + rng.randint(0, 9), m)
             assert grid.member(bound, x + y)
+
+    for _ in range(200):
+        check(rng.randint(-6, 6), rng.randint(1, 5), rng.randint(-6, 6), rng.randint(1, 5))
+    for pair in [(1, 4, -1, 6), (-3, 2, 2, 2), (2, 6, -5, 9), (0, 4, 3, 4)]:
+        check(*pair)
     _report(4, "Puiseux support law on 200 random tail pairs")
 
 
@@ -165,7 +173,7 @@ def test_criterion_5_truncated_partial_ring():
 
 def test_criterion_6_category_verification():
     """Universal properties by counting every mediator of every cone of
-    the 0- and 1-point probes (composition is pointwise, so one point is
+    the one-point probe (composition is pointwise, so one point is
     enough): 500 seeded parallel pairs (equalizer + coequalizer), all
     space pairs <= 3 for products/coproducts, exact curry/uncurry counting
     <= 2, dual-operator laws over 200 sampled families with |X| <= 4."""

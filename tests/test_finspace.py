@@ -586,7 +586,7 @@ def test_pointwise_product_and_coproduct_counts_match_raw_enumeration(pointwise_
 
 
 # ---------------------------------------------------------------------------
-# the verdict on the 0- and 1-point probes against brute force up to 2 points
+# the verdict on the one-point probe against brute force up to 2 points
 
 
 BRUTE_PROBES = [space(["z1", "z2"][:k]) for k in range(3)]

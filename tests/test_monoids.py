@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,47 @@ def test_decompose_matches_brute_force(rng):
                 window = oracles.covering_window(monoid, m, s, t)
                 assert monoid.decompose_within(m, s, t) == \
                     oracles.brute_decompose(monoid, m, s, t, window)
+
+
+def _brute_tail_fiber(m, s, t):
+    """Every (i/n, j/k) with i >= s.a, j >= t.a and i/n + j/k = m = p/q, by
+    trying every offset pair up to a reach past |m| + |s.a| + |t.a|."""
+    (a, n), (b, k), (p, q) = (s.a, s.n), (t.a, t.n), (m.numerator, m.denominator)
+    reach = abs(p) // q + abs(a) + abs(b) + 1
+    return sorted((Fraction(i, n), Fraction(j, k)) for i in range(a, reach * n + 1)
+                  for j in range(b, reach * k + 1) if (i * k + j * n) * q == p * n * k)
+
+
+def test_two_tail_fibers_are_the_brute_force_pairs(rng):
+    """The fiber of two tails is every pair by enumeration, and the candidates
+    are exactly that progression: on the integers (ints throughout) and on
+    grids n, k <= 6, gcd(n, k) > 1 among them, with negative offsets and
+    targets off the common grid, whose fibers are empty."""
+    ints = integers()
+    for a in range(-3, 3):
+        for b in range(-3, 3):
+            for m in range(-6, 7):
+                s, t = TailGE(a), TailGE(b)
+                got = ints.fiber(m, s, t)
+                assert got == _brute_tail_fiber(m, s, t)
+                assert sorted(ints._candidates(m, s, t)) == got
+                assert all(type(x) is int and type(y) is int for x, y in got)
+    grid = rational_grid()
+    seen = {"shared factor": 0, "off the grid": 0}
+    for _ in range(600):
+        n, k = rng.randint(1, 6), rng.randint(1, 6)
+        s, t = GridTail(rng.randint(-6, 6), n), GridTail(rng.randint(-6, 6), k)
+        m = Fraction(rng.randint(-12, 12), rng.randint(1, 8))
+        got = grid.fiber(m, s, t)
+        assert got == _brute_tail_fiber(m, s, t), (m, s, t)
+        assert sorted(grid._candidates(m, s, t)) == got
+        assert all(type(x) is Fraction and type(y) is Fraction for x, y in got)
+        if math.lcm(n, k) % m.denominator:
+            assert got == []
+            seen["off the grid"] += 1
+        elif math.gcd(n, k) > 1 and got:
+            seen["shared factor"] += 1
+    assert min(seen.values()) > 40, seen
 
 
 def test_posnat_fibers_over_a_finite_side_try_only_its_elements(monkeypatch):
