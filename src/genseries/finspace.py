@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from .errors import InputError, SizeBoundError
 
 _SYSTEM_CAP = 16  # 2^|X| family enumeration guard
+_FN_CAP = 4096  # (|Y|+1)^|X| partial-function enumeration guard
 
 
 def _key(x):
@@ -188,9 +189,13 @@ def compose(outer: PartialFn, inner: PartialFn) -> PartialFn:
 
 
 def all_partial_fns(dom: FinSpace, cod: FinSpace):
-    """Every partial function dom -> cod: (|cod|+1)^|dom| of them."""
-    for values in itertools.product((None,) + cod.carrier, repeat=len(dom.carrier)):
-        yield PartialFn._from_values(dom, cod, values)
+    """Every partial function dom -> cod, lazily: (|cod|+1)^|dom| of them,
+    refused past _FN_CAP before any is built."""
+    count = (len(cod) + 1) ** len(dom)
+    if count > _FN_CAP:
+        raise SizeBoundError(f"refusing to enumerate {count} partial functions")
+    return (PartialFn._from_values(dom, cod, values)
+            for values in itertools.product((None,) + cod.carrier, repeat=len(dom)))
 
 
 def is_morphism(f: PartialFn, dom_system: SetSystem | None = None,
@@ -198,21 +203,22 @@ def is_morphism(f: PartialFn, dom_system: SetSystem | None = None,
     """Check the two finitary conditions of a morphism: the image of every
     finitary set is finitary, and every pointwise preimage is dual-finitary.
 
-    Against the forced structure both hold for any partial function; passing
-    hand-restricted systems exercises the image condition for real.  The
-    preimage condition always holds: the dual of any family on a finite
+    A left-out system is the forced full powerset, never built: into it
+    every image is finitary, and from it the images are the subsets of f's
+    image.  Hand-restricted systems exercise the image condition for real.
+    The preimage condition always holds: the dual of any family on a finite
     carrier is the full powerset (see ``perp``), which holds every preimage.
     """
-    dom_system = dom_system if dom_system is not None else full_system(f.dom.carrier)
-    cod_system = cod_system if cod_system is not None else full_system(f.cod.carrier)
-    if dom_system.carrier != f.dom.carrier or cod_system.carrier != f.cod.carrier:
-        raise InputError("set-system carriers do not match the morphism's spaces")
+    for given, sp in ((dom_system, f.dom), (cod_system, f.cod)):
+        if given is not None and given.carrier != sp.carrier:
+            raise InputError("set-system carriers do not match the morphism's spaces")
+    if cod_system is None:
+        return True
     cod_family = set(cod_system.family)
-    for u in dom_system.family:
-        image = frozenset(f(x) for x in u if f(x) is not None)
-        if image not in cod_family:
-            return False
-    return True
+    if dom_system is None:
+        return set(subsets({f(x) for x in f.defined_on()})) <= cod_family
+    return all(frozenset(f(x) for x in u if f(x) is not None) in cod_family
+               for u in dom_system.family)
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +365,12 @@ def _graph_label(mapping) -> tuple:
 
 
 @functools.cache
-def internal_hom(x: FinSpace, y: FinSpace, bound: int = 4096) -> FinSpace:
+def internal_hom(x: FinSpace, y: FinSpace) -> FinSpace:
     """The space of nonempty partial functions x -> y.
 
-    The carrier has (|y|+1)^|x| - 1 points, so a hard bound guards the
-    enumeration.  Spaces are immutable, so it is built once per process.
+    The carrier has (|y|+1)^|x| - 1 points, under ``all_partial_fns``'s
+    guard.  Spaces are immutable, so it is built once per process.
     """
-    count = (len(y) + 1) ** len(x) - 1
-    if count > bound:
-        raise SizeBoundError(f"internal hom would have {count} points, bound is {bound}")
     labels = [_graph_label(h.mapping) for h in all_partial_fns(x, y) if not h.is_empty()]
     return space(labels)
 
@@ -390,9 +393,9 @@ def hom_family_conditions(w, dom_system: SetSystem, cod_system: SetSystem) -> di
     return {"union": union_ok, "cofinite": True, "pointwise": True}
 
 
-def ev(x: FinSpace, y: FinSpace, bound: int = 4096) -> PartialFn:
+def ev(x: FinSpace, y: FinSpace) -> PartialFn:
     """Evaluation hom(x,y) (x) tensor x -> y: (h, p) -> h(p) where defined."""
-    hom = internal_hom(x, y, bound)
+    hom = internal_hom(x, y)
     dom = tensor(hom, x)
     mapping = {}
     for lbl in hom.carrier:
@@ -402,15 +405,14 @@ def ev(x: FinSpace, y: FinSpace, bound: int = 4096) -> PartialFn:
     return PartialFn(dom, y, mapping)
 
 
-def curry(g: PartialFn, z: FinSpace, x: FinSpace, y: FinSpace,
-          bound: int = 4096) -> PartialFn:
+def curry(g: PartialFn, z: FinSpace, x: FinSpace, y: FinSpace) -> PartialFn:
     """Transpose z tensor x -> y into z -> hom(x,y).
 
     Undefined at z-points whose section is the empty partial function.
     """
     if g.dom != tensor(z, x) or g.cod != y:
         raise InputError("curry expects a morphism from the tensor of z and x into y")
-    hom = internal_hom(x, y, bound)
+    hom = internal_hom(x, y)
     mapping = {}
     for zz in z.carrier:
         section = {xx: g((zz, xx)) for xx in x.carrier if g((zz, xx)) is not None}
@@ -547,13 +549,17 @@ def verify_coproduct(spaces: list[FinSpace], cop: FinSpace,
 
 def verify_coequalizer(f: PartialFn, g: PartialFn, q_space: FinSpace,
                        qmap: PartialFn) -> list[str]:
+    """Check the coequalizing cocone and, for every probe cocone h, which
+    coequalizes iff h(a) == h(b) on each distinct (a, b) = (f(x), g(x)), the
+    unique mediator through the quotient map."""
     problems = []
     if compose(qmap, f) != compose(qmap, g):
         problems.append("quotient map does not coequalize the pair")
+    pairs = {(f(x), g(x)) for x in f.dom.carrier}
     for z in _PROBES:
         through = _pre_check(z, [qmap])
         for h in all_partial_fns(f.cod, z):
-            if any(h(f(x)) != h(g(x)) for x in f.dom.carrier):
+            if any(h(a) != h(b) for a, b in pairs):
                 continue
             hits = _mediators(q_space, z, through([h]))
             if len(hits) != 1:

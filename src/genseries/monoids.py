@@ -157,12 +157,16 @@ class Monoid:
     def fiber(self, m, s: Descriptor, t: Descriptor) -> list:
         """``decompose_within`` of a checked element and admitted descriptors:
         the trusted step that series evaluation runs per point."""
+        if not isinstance(s, FiniteSet) and not isinstance(t, FiniteSet):
+            return self._candidates(m, s, t)
         pairs = [(a, b) for a, b in self._candidates(m, s, t) if a in s and b in t]
         return sorted(pairs, key=lambda p: (self.sort_key(p[0]), self.sort_key(p[1])))
 
     def _candidates(self, m, s, t):
         """Distinct pairs of elements whose product is m, covering every such
-        pair in s x t; ``fiber`` keeps those in s x t."""
+        pair in s x t; ``fiber`` keeps those in s x t.  Over two infinite
+        sides they are exactly those pairs, in the canonical pair order, and
+        ``fiber`` returns them as they are."""
         raise NotImplementedError
 
     def mul_bound(self, s: Descriptor, t: Descriptor) -> Descriptor:

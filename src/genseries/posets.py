@@ -24,6 +24,8 @@ from .catalog import (All, Carrier, Descriptor, FiniteSet, FreeWords,
 from .errors import (CarrierError, DescriptorError, InputError, InternalError,
                      SizeBoundError, StrictnessError)
 
+_ANTICHAIN_CAP = 20  # elements; the antichain search is exponential
+
 # ---------------------------------------------------------------------------
 # classification
 
@@ -227,15 +229,15 @@ def longest_chain(p: FinitePoset) -> list:
     return [p.elements[i] for i in chain]
 
 
-def largest_antichain(p: FinitePoset, bound: int = 20) -> list:
+def largest_antichain(p: FinitePoset) -> list:
     """A maximum set of pairwise-incomparable elements.
 
-    Exponential branch-and-bound scan, guarded by a size bound: desk-scale
-    posets only.
+    Exponential branch-and-bound scan, refused past _ANTICHAIN_CAP
+    elements: desk-scale posets only.
     """
     n = len(p.elements)
-    if n > bound:
-        raise SizeBoundError(f"poset has {n} elements, antichain search capped at {bound}")
+    if n > _ANTICHAIN_CAP:
+        raise SizeBoundError(f"poset has {n} elements, antichain search capped at {_ANTICHAIN_CAP}")
     comparable = [[i != j and (p.leq[i][j] or p.leq[j][i]) for j in range(n)] for i in range(n)]
     best: list[int] = []
 

@@ -586,25 +586,13 @@ def moebius(ring: Ring, bound: int) -> GenSeries:
 
 
 def _moebius_table(bound: int) -> list[int]:
-    # smallest-prime-factor factorization: -1 per distinct prime, 0 on squares
-    spf = list(range(bound + 1))
-    for p in range(2, int(bound ** 0.5) + 1):
-        if spf[p] == p:
-            for q in range(p * p, bound + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-    out = [0] * (bound + 1)
-    if bound >= 1:
-        out[1] = 1
-    for n in range(2, bound + 1):
-        m, sign = n, 1
-        square_free = True
-        while m > 1:
-            p = spf[m]
-            m //= p
-            if m % p == 0:
-                square_free = False
-                break
-            sign = -sign
-        out[n] = sign if square_free else 0
-    return out
+    # a sieve: each prime p negates mu on its multiples and zeroes it on p*p's
+    mu = [0] + [1] * bound
+    composite = bytearray(bound + 1)
+    for p in range(2, bound + 1):
+        if not composite[p]:
+            mu[p::p] = map(operator.neg, mu[p::p])
+            if p * p <= bound:
+                composite[p * p::p] = b"\1" * len(range(p * p, bound + 1, p))
+                mu[p * p::p * p] = [0] * (bound // (p * p))
+    return mu

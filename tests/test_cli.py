@@ -253,6 +253,30 @@ def test_category_check_restricted_family_fails_morphism(capsys, tmp_path):
     assert json.loads(out)["f_morphism"] is False
 
 
+def test_category_check_sizes_a_diagram_by_what_it_enumerates(capsys, tmp_path):
+    """A diagram is refused only past the partial-function guard: cones from
+    one point into the domain, cocones from the codomain into one point."""
+    def check(n_dom, n_cod, with_g):
+        dom = [f"d{i}" for i in range(n_dom)]
+        cod = [f"c{i}" for i in range(n_cod)]
+        f = {x: cod[i % n_cod] for i, x in enumerate(dom) if i % 5}
+        blob = {"dom": {"carrier": dom}, "cod": {"carrier": cod}, "f": {"graph": f}}
+        if with_g:
+            blob["g"] = {"graph": f}
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(blob))
+        return run_cli(capsys, "category-check", "--input", str(path), "--format", "json")
+
+    code, out, _ = check(4095, 12, True)
+    payload = json.loads(out)
+    assert code == 0 and payload["verified"] is True
+    assert len(payload["equalizer"]) == 4095
+    assert sorted(payload["coequalizer_classes"]) == sorted([f"c{i}"] for i in range(12))
+    code, out, _ = check(7, 1, False)
+    assert (code, json.loads(out)) == (0, {"f_morphism": True})
+    assert check(1, 13, True) == (1, "", "error: refusing to enumerate 8192 partial functions\n")
+
+
 def test_category_check_refuses_an_empty_diagram(capsys, tmp_path):
     # an empty object is a diagram missing its fields, not a request for the sweep
     path = tmp_path / "empty.json"

@@ -326,7 +326,19 @@ def test_internal_hom_counts():
 
 def test_internal_hom_bound():
     with pytest.raises(SizeBoundError):
-        internal_hom(space(list("abcdefg")), space(list("pqrstuv")), bound=100)
+        internal_hom(space(list("abcdefg")), space(list("pqrstuv")))
+
+
+@pytest.mark.parametrize("dom_size, cod_size, count", [
+    (12, 1, 4096), (13, 1, 8192), (1, 4095, 4096), (1, 4096, 4097)])
+def test_partial_fn_enumeration_is_guarded_past_4096(dom_size, cod_size, count):
+    dom = space([f"d{i}" for i in range(dom_size)])
+    cod = space([f"c{i}" for i in range(cod_size)])
+    if count <= 4096:
+        assert len(set(all_partial_fns(dom, cod))) == count
+    else:
+        with pytest.raises(SizeBoundError, match=f"refusing to enumerate {count} "):
+            all_partial_fns(dom, cod)
 
 
 def test_ev_on_singletons():
@@ -415,6 +427,40 @@ def test_composition_associativity_exhaustive_size_three():
                 assert compose(h, gf) == compose(compose(h, g), f)
     for f in fs:
         assert compose(f, identity(a)) == f == compose(identity(b), f)
+
+
+def powerset_is_morphism(f, dom_family, cod_family):
+    """The image condition by its definition: the image of every finitary
+    set is finitary, a left-out family being the full powerset."""
+    if dom_family is None:
+        dom_family = finspace.subsets(f.dom.carrier)
+    if cod_family is None:
+        cod_family = finspace.subsets(f.cod.carrier)
+    return all(frozenset(f(x) for x in u if f(x) is not None) in set(cod_family)
+               for u in dom_family)
+
+
+def test_is_morphism_is_the_powerset_definition():
+    """Every partial function up to 3+3 points, each system left out, given
+    in full, or a random family that sometimes holds every image."""
+    rng = random.Random(28)
+    verdicts = collections.Counter()
+    for nx, ny in itertools.product(range(4), repeat=2):
+        x, y = space(["a", "b", "c"][:nx]), space(["p", "q", "r"][:ny])
+
+        def families(sp):
+            pool = finspace.subsets(sp.carrier)
+            return [None, pool, *(rng.sample(pool, rng.randint(0, len(pool)))
+                                  for _ in range(3))]
+        for f in all_partial_fns(x, y):
+            for dom_family, cod_family in itertools.product(families(x), families(y)):
+                systems = [None if fam is None else system(sp.carrier, fam)
+                           for fam, sp in ((dom_family, x), (cod_family, y))]
+                expected = powerset_is_morphism(f, dom_family, cod_family)
+                assert is_morphism(f, *systems) == expected, (f, dom_family, cod_family)
+                verdicts[dom_family is None, expected] += 1
+    assert all(verdicts[forced, verdict] for forced in (True, False)
+               for verdict in (True, False))
 
 
 def test_is_morphism_rejects_mismatched_systems():

@@ -5,7 +5,9 @@ exit code printed for them: the seeded sweep at ``--max-size 0..3`` x seeds
 0, 7 and 123 x text and JSON (``--samples 25``), and user diagrams passed
 through ``--input`` (stored under ``input`` and written to a file here),
 including restricted families where ``is_morphism`` is false, numeric
-labels, a six-point parallel pair and two refused diagrams.  The checker's
+labels, a six-point parallel pair, a seven-point single morphism and two
+refused diagrams: a label off its carrier, and a 13-point codomain whose
+cocones into one point are past the partial-function guard.  The checker's
 search may change; what it reports may not.
 """
 

@@ -116,7 +116,7 @@ def test_largest_antichain_examples():
 
 def test_largest_antichain_size_bound():
     with pytest.raises(SizeBoundError):
-        largest_antichain(antichain(25), bound=20)
+        largest_antichain(antichain(25))
 
 
 def test_increasing_subsequence_examples():
