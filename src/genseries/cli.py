@@ -10,11 +10,13 @@ poset          validate / longest-chain / largest-antichain / strict-pomonoid
 category-check run the finiteness-space verification sweep
 selftest       condensed property suites of every module
 
-Expressions are tokenized in one pass (any whitespace, newlines included,
-separates tokens) and parsed by recursive descent; ``from_terms`` checks
-each term's element.  Each command prints through ``_emit``, the one
-reader of ``--format``, and ``--descriptor`` and ``--poset`` are decoded
-once, with errors reported by line.
+Expressions are read into plain tokens by one ``findall`` (any whitespace,
+newlines included, separates tokens) and parsed by recursive descent; a
+literal's element is checked where it is read, a polynomial literal's
+monomials fold into one table, and a run of one builtin is counted on the
+tokens.  Each command prints through ``_emit``, the one reader of
+``--format``, and ``--descriptor`` and ``--poset`` are decoded once, with
+errors reported by line.
 
 Exit codes: 0 success, 1 invalid input, 2 internal invariant violation
 or any other unexpected exception (always a bug, reported in one line
@@ -40,33 +42,39 @@ from .posets import (FinitePomonoid, FinitePoset, classify_subset,
                      is_strict_pomonoid, largest_antichain, longest_chain,
                      poset_violations, relation_from_json)
 from .rings import Ring, ring_from_spec
-from .series import GenSeries, from_terms, geometric, moebius, power, zeta
+from .series import GenSeries, from_table, from_terms, geometric, moebius, power, zeta
 from .selftest import run_selftest
 
 # ---------------------------------------------------------------------------
 # expression language
 
-_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|\S")
+_OPERATORS = {"+": "+", "-": "-", "*": "*", "·": "*", "^": "^", "/": "/", "(": "(", ")": ")"}
 
 
 def _tokenize(text: str) -> list:
-    """Numbers, names and operators; any whitespace separates tokens."""
-    out = []
-    for m in _TOKEN.finditer(text):
-        number, name, sym = m.groups()
-        if number is not None:
+    """Plain tokens: an int for a number, a str for a name or an operator
+    (``·`` read as ``*``), then "" at the end; any whitespace separates
+    tokens.  Each distinct word is read once."""
+    words = _TOKEN.findall(text)
+    read, bad = {}, {}
+    for word in set(words):
+        if word in _OPERATORS:
+            read[word] = _OPERATORS[word]
+        elif word[0].isdecimal():
             try:
-                out.append(("num", int(number)))
+                read[word] = int(word)
             except ValueError as exc:  # past the interpreter's digit limit
-                raise InputError(f"number at position {m.start()}: {exc}") from exc
-        elif name is not None:
-            out.append(("name", name))
-        elif sym in "+-*·^/()":
-            out.append(("op", "*" if sym == "·" else sym))
-        else:
-            raise InputError(f"unexpected character {sym!r} in expression")
-    out.append(("end", ""))
-    return out
+                bad[word] = exc
+        elif word.isascii() and word.isidentifier():
+            read[word] = word
+    try:
+        return [*map(read.__getitem__, words), ""]
+    except KeyError:  # the first word without a token is the error
+        m = next(m for m in _TOKEN.finditer(text) if m.group() not in read)
+        if m.group() in bad:
+            raise InputError(f"number at position {m.start()}: {bad[m.group()]}") from None
+        raise InputError(f"unexpected character {m.group()!r} in expression") from None
 
 
 # Each parenthesis or unary minus nests one recursive call deeper; this cap
@@ -78,7 +86,7 @@ _MAX_SIZE = 10**6
 
 
 class _ExprParser:
-    """terms, +, -, products, parentheses, named builtins."""
+    """terms, +, -, products, parentheses, named builtins; literals as tables."""
 
     def __init__(self, text: str, monoid: Monoid, ring: Ring, window: int):
         self.tokens = _tokenize(text)
@@ -96,53 +104,80 @@ class _ExprParser:
 
     def accept(self, op) -> bool:
         """Consume the operator op if it comes next."""
-        if self.tokens[self.pos] != ("op", op):
+        if self.tokens[self.pos] != op:
             return False
         self.pos += 1
         return True
 
-    def take(self, kind, value=None):
-        """The next token, which must be of this kind (and value)."""
+    def close(self):
+        """Consume the ")" that must come next."""
         tok = self.next()
-        if tok[0] != kind:
-            raise InputError(f"expected {kind}, found {tok[1]!r}")
-        if value is not None and tok[1] != value:
-            raise InputError(f"expected {value!r}, found {tok[1]!r}")
-        return tok
+        if tok != ")":
+            want = "')'" if tok in _OPERATORS else "op"
+            raise InputError(f"expected {want}, found {tok!r}")
 
     def parse(self) -> GenSeries:
         out = self.expr()
-        kind, value = self.tokens[self.pos]
-        if kind != "end":
-            raise InputError(f"trailing input at token {value!r}")
+        tok = self.tokens[self.pos]
+        if tok != "":
+            raise InputError(f"trailing input at token {tok!r}")
         return out
 
+    def series(self, operand) -> GenSeries:
+        """A series, or a literal table as one."""
+        if type(operand) is dict:
+            return from_table(self.monoid, self.ring, operand)
+        return operand
+
     def expr(self) -> GenSeries:
+        tokens, ring = self.tokens, self.ring
         acc = self.term()
         while True:
-            if self.accept("+"):
-                acc = acc + self.term()
-            elif self.accept("-"):
-                acc = acc - self.term()
+            op = tokens[self.pos]
+            if op != "+" and op != "-":
+                return self.series(acc)
+            self.pos += 1
+            t = self.term()
+            if type(acc) is dict and type(t) is dict:  # the leading literal terms
+                for m, c in t.items():
+                    c = ring.neg(c) if op == "-" else c
+                    acc[m] = ring.add(acc[m], c) if m in acc else c
             else:
-                return acc
+                acc, t = self.series(acc), self.series(t)
+                acc = acc + t if op == "+" else acc - t
 
-    def term(self) -> GenSeries:
-        # adjacent reads of one builtin are one series: a run of k is its power
-        acc, factor, k = None, self.unary(), 1
+    def term(self):
+        """A product: a series, or a literal table when every factor is a literal."""
+        tokens = self.tokens
+        acc, factor, k = None, self.factor(), 1
         while True:
-            more = self.accept("*")
-            f = self.unary() if more else None
-            if f is factor:
-                k += 1
-                continue
+            # adjacent reads of one builtin are one series: a run of k is its power
+            name = tokens[self.pos - 1]
+            if factor is self.builtins.get(name):  # read by its bare name: count on here
+                while tokens[self.pos] == "*" and tokens[self.pos + 1] == name:
+                    self.pos += 2
+                    k += 1
+            more = tokens[self.pos] == "*"
+            if more:
+                self.pos += 1
+                f = self.factor()
+                if f is factor:
+                    k += 1
+                    continue
+                if acc is None and type(factor) is dict and type(f) is dict:
+                    m = None  # the leading literal factors: one monomial, or none
+                    if factor and f:
+                        ((x, c),), ((y, d),) = factor.items(), f.items()
+                        m = self.monoid.product(x, y)
+                    factor = {} if m is None else {m: self.ring.mul(c, d)}
+                    continue
             run = factor if k == 1 else power(factor, k)
-            acc = run if acc is None else acc * run
+            acc = run if acc is None else self.series(acc) * self.series(run)
             if not more:
                 return acc
             factor, k = f, 1
 
-    def nested(self, parse) -> GenSeries:
+    def nested(self, parse):
         """parse() one nesting level deeper, within the cap."""
         self.depth += 1
         if self.depth > _MAX_NESTING:
@@ -151,51 +186,49 @@ class _ExprParser:
         self.depth -= 1
         return out
 
-    def unary(self) -> GenSeries:
-        if self.accept("-"):
-            return -self.nested(self.unary)
-        return self.atom()
-
-    def atom(self) -> GenSeries:
-        if self.accept("("):
+    def factor(self):
+        """One factor after any unary minuses: a series or a literal table."""
+        tok = self.next()
+        if tok == "-":
+            f = self.nested(self.factor)
+            return {m: self.ring.neg(c) for m, c in f.items()} if type(f) is dict else -f
+        if tok == "(":
             inner = self.nested(self.expr)
-            self.take("op", ")")
+            self.close()
             return inner
-        kind, value = self.next()
-        if kind == "num":
-            return self.monomial(self.monoid.unit, self.ring.from_int(value))
-        if kind != "name":
-            raise InputError(f"expected a term, found {value!r}")
-        if value != "T":
-            return self.builtin(value)
-        if self.accept("^"):
-            return self.monomial(self.exponent(), self.ring.one)
-        if self.monoid.generator is None:
-            raise InputError(f"carrier {self.monoid.describe()!r} has no default generator; "
-                             "write T^<element>")
-        return self.monomial(self.monoid.generator, self.ring.one)
-
-    def monomial(self, element, coefficient) -> GenSeries:
-        # from_terms checks the element
-        return from_terms(self.monoid, self.ring, [(element, coefficient)])
+        if tok == "T":
+            m = self.exponent() if self.accept("^") else self.monoid.generator
+            if m is None:
+                raise InputError(f"carrier {self.monoid.describe()!r} has no default "
+                                 "generator; write T^<element>")
+            self.monoid.check_element(m)
+            return {m: self.ring.one}
+        if type(tok) is int:
+            c = self.ring.from_int(tok)
+            return {} if self.ring.is_zero(c) else {self.monoid.unit: c}
+        if tok == "" or tok in _OPERATORS:
+            raise InputError(f"expected a term, found {tok!r}")
+        return self.builtin(tok)
 
     def exponent(self):
         parenthesized = self.accept("(")
         sign = -1 if self.accept("-") else 1
-        kind, value = self.next()
-        if kind == "num":
-            element = sign * value
+        tok = self.next()
+        if type(tok) is int:
+            element = sign * tok
             if self.accept("/"):
-                den = self.take("num")[1]
+                den = self.next()
+                if type(den) is not int:
+                    raise InputError(f"expected num, found {den!r}")
                 if den == 0:
                     raise InputError("exponent has a zero denominator")
                 element = Fraction(element, den)
-        elif kind == "name" and sign == 1:
-            element = value  # a word exponent
+        elif sign == 1 and type(tok) is str and tok and tok not in _OPERATORS:
+            element = tok  # a word exponent
         else:
-            raise InputError(f"bad exponent near {value!r}")
+            raise InputError(f"bad exponent near {tok!r}")
         if parenthesized:
-            self.take("op", ")")
+            self.close()
         return element
 
     def builtin(self, name: str) -> GenSeries:

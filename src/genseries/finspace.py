@@ -215,8 +215,9 @@ def is_morphism(f: PartialFn, dom_system: SetSystem | None = None,
     if cod_system is None:
         return True
     cod_family = set(cod_system.family)
-    if dom_system is None:
-        return set(subsets({f(x) for x in f.defined_on()})) <= cod_family
+    if dom_system is None:  # a family of fewer than 2^|image| sets cannot hold them all
+        image = {f(x) for x in f.defined_on()}
+        return len(cod_family) >= 2 ** len(image) and set(subsets(image)) <= cod_family
     return all(frozenset(f(x) for x in u if f(x) is not None) in cod_family
                for u in dom_system.family)
 

@@ -147,7 +147,7 @@ class GenSeries:
             table = dict(_table(self))
             for m, c in _table(other).items():
                 table[m] = ring.add(table[m], c) if m in table else c
-            return GenSeries(monoid, ring, finite(table), _TABLE, table)
+            return from_table(monoid, ring, table)
         return GenSeries(monoid, ring, monoid.tail_union_bound(self.support, other.support),
                          ("add", self, other))
 
@@ -529,6 +529,11 @@ def from_terms(monoid: Monoid, ring: Ring, terms) -> GenSeries:
         seen.add(m)
         if not ring.is_zero(c):
             table[m] = c
+    return from_table(monoid, ring, table)
+
+
+def from_table(monoid: Monoid, ring: Ring, table: dict) -> GenSeries:
+    """A finite series on a checked table; zero values stay, as in a convolution."""
     return GenSeries(monoid, ring, finite(table), _TABLE, table)
 
 

@@ -253,6 +253,18 @@ def test_category_check_restricted_family_fails_morphism(capsys, tmp_path):
     assert json.loads(out)["f_morphism"] is False
 
 
+def test_a_family_too_small_for_the_image_fails_without_enumeration(capsys, tmp_path):
+    """A 17-point image has 2^17 subsets, which a two-member family cannot
+    hold: settled by counting, under the enumeration guard."""
+    labels = [f"p{i}" for i in range(17)]
+    blob = {"dom": {"carrier": labels}, "cod": {"carrier": labels, "family": [[], labels]},
+            "f": {"graph": {x: x for x in labels}}}
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(blob))
+    assert run_cli(capsys, "category-check", "--input", str(path)) == (
+        0, "f_morphism: False\n", "")
+
+
 def test_category_check_sizes_a_diagram_by_what_it_enumerates(capsys, tmp_path):
     """A diagram is refused only past the partial-function guard: cones from
     one point into the domain, cocones from the codomain into one point."""
