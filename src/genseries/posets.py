@@ -6,11 +6,11 @@ the descriptor grammar.  An artinian, noetherian and narrow poset is
 necessarily finite, and that implication is enforced as a post-check on
 every result this module emits.
 
-Finite posets come with desk-scale chain and antichain extraction
-(correctness over cleverness: the antichain search is a bounded
-exponential scan, not Dilworth via matching), strict-map checking, and
-the pomonoid machinery that turns a strict finite pomonoid into a total
-finiteness monoid.
+Finite posets are read as bitset rows, one ``int`` up-set per element:
+the order laws, the longest chain and the largest antichain (Dilworth's
+theorem through matchings, polynomial with no size cap) run on them.
+Strict-map checking and the pomonoid machinery, which turns a strict
+finite pomonoid into a total finiteness monoid, complete the module.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from .catalog import (All, Carrier, Descriptor, FiniteSet, FreeWords,
                       PosNatDivisibility, PosNatMulUsual, RationalGrid,
                       TailGE, Truncated)
 from .errors import (CarrierError, DescriptorError, InputError, InternalError,
-                     SizeBoundError, StrictnessError)
-
-_ANTICHAIN_CAP = 20  # elements; the antichain search is exponential
+                     StrictnessError)
 
 # ---------------------------------------------------------------------------
 # classification
@@ -103,8 +101,26 @@ def classify_subset(carrier: Carrier, desc: Descriptor) -> OrderClassification:
 # finite posets
 
 
+def _bits(x: int):
+    """Indices of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _rows(leq) -> list[int]:
+    """The relation as bitset rows: bit j of row i is set when leq[i][j]."""
+    return [sum(1 << j for j, v in enumerate(row) if v) for row in leq]
+
+
+def _strict_rows(leq) -> list[int]:
+    """Each element's strict up-set as a bitset row."""
+    return [row & ~(1 << i) for i, row in enumerate(_rows(leq))]
+
+
 def poset_violations(elements, leq) -> list[str]:
-    """Reflexivity / antisymmetry / transitivity violations, by enumeration."""
+    """Reflexivity / antisymmetry / transitivity violations, on bitset rows."""
     n = len(elements)
     bad = []
     if len(set(elements)) != n:
@@ -113,19 +129,19 @@ def poset_violations(elements, leq) -> list[str]:
     if len(leq) != n or any(len(row) != n for row in leq):
         bad.append("relation matrix shape does not match the element list")
         return bad
+    rows = _rows(leq)
     for i in range(n):
-        if not leq[i][i]:
+        if not rows[i] >> i & 1:
             bad.append(f"not reflexive at {elements[i]!r}")
     for i in range(n):
-        for j in range(n):
-            if i != j and leq[i][j] and leq[j][i]:
+        for j in _bits(rows[i] & ~(1 << i)):
+            if rows[j] >> i & 1:
                 bad.append(f"antisymmetry fails on {elements[i]!r}, {elements[j]!r}")
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if leq[i][j] and leq[j][k] and not leq[i][k]:
-                    bad.append(
-                        f"transitivity fails on {elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}")
+        for j in _bits(rows[i]):
+            for k in _bits(rows[j] & ~rows[i]):  # i <= j <= k but not i <= k
+                bad.append(
+                    f"transitivity fails on {elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}")
     return bad
 
 
@@ -181,9 +197,7 @@ class FinitePoset:
         return a != b and self.le(a, b)
 
     def reverse(self) -> "FinitePoset":
-        n = len(self.elements)
-        rows = tuple(tuple(self.leq[j][i] for j in range(n)) for i in range(n))
-        return FinitePoset(self.elements, rows)
+        return FinitePoset(self.elements, tuple(zip(*self.leq)))
 
     def __len__(self):
         return len(self.elements)
@@ -199,64 +213,69 @@ class FinitePoset:
 
 
 def longest_chain(p: FinitePoset) -> list:
-    """A maximum-length chain, via longest path in the strict-order DAG."""
-    n = len(p.elements)
-    lt = [[i != j and p.leq[i][j] for j in range(n)] for i in range(n)]
+    """A maximum-length chain, via longest path over a linear extension."""
+    up = _strict_rows(p.leq)
+    n = len(up)
     best = [0] * n    # longest chain starting at i, minus one
     nxt = [-1] * n
-    # antisymmetry + transitivity make strict order acyclic, so a plain
-    # memoized scan in decreasing order of out-degree height terminates
-    done = [False] * n
+    # i < j shrinks the strict up-set, so its size orders a linear extension
+    for i in sorted(range(n), key=lambda i: up[i].bit_count()):
+        for j in _bits(up[i]):
+            if best[j] + 1 > best[i]:
+                best[i] = best[j] + 1
+                nxt[i] = j
+    i = max(range(n), key=best.__getitem__, default=-1)
+    chain = []
+    while i != -1:
+        chain.append(p.elements[i])
+        i = nxt[i]
+    return chain
 
-    def height(i):
-        if done[i]:
-            return best[i]
-        done[i] = True
-        for j in range(n):
-            if lt[i][j]:
-                h = height(j) + 1
-                if h > best[i]:
-                    best[i] = h
-                    nxt[i] = j
-        return best[i]
 
-    if n == 0:
-        return []
-    start = max(range(n), key=height)
-    chain = [start]
-    while nxt[chain[-1]] != -1:
-        chain.append(nxt[chain[-1]])
-    return [p.elements[i] for i in chain]
+def _matching(up, s: int) -> int:
+    """Size of a maximum matching of i in s to j in up[i] & s, by breadth-first search."""
+    mate = {}        # right vertex -> its left vertex
+    for u in _bits(s):
+        parent = {}  # right vertex -> the right vertex before it, -1 for u
+        queue = [-1]
+        seen = 0
+        end = -1
+        while queue and end == -1:
+            w = queue.pop(0)
+            new = up[mate.get(w, u)] & s & ~seen
+            seen |= new
+            for v in _bits(new):
+                parent[v] = w
+                if v not in mate:
+                    end = v
+                    break
+                queue.append(v)
+        while end != -1:  # flip the path: each right vertex takes its parent's left one
+            mate[end] = mate.get(parent[end], u)
+            end = parent[end]
+    return len(mate)
 
 
 def largest_antichain(p: FinitePoset) -> list:
-    """A maximum set of pairwise-incomparable elements.
-
-    Exponential branch-and-bound scan, refused past _ANTICHAIN_CAP
-    elements: desk-scale posets only.
-    """
-    n = len(p.elements)
-    if n > _ANTICHAIN_CAP:
-        raise SizeBoundError(f"poset has {n} elements, antichain search capped at {_ANTICHAIN_CAP}")
-    comparable = [[i != j and (p.leq[i][j] or p.leq[j][i]) for j in range(n)] for i in range(n)]
-    best: list[int] = []
-
-    def extend(idx, current):
-        nonlocal best
-        if len(current) + (n - idx) <= len(best):
-            return
-        if idx == n:
-            if len(current) > len(best):
-                best = list(current)
-            return
-        if all(not comparable[i][idx] for i in current):
-            current.append(idx)
-            extend(idx + 1, current)
-            current.pop()
-        extend(idx + 1, current)
-
-    extend(0, [])
-    return [p.elements[i] for i in best]
+    """A maximum set of pairwise-incomparable elements, earliest first: each
+    is kept when it, the kept ones and the width of the later ones that are
+    incomparable to all of them reach the width, a set's size minus a
+    maximum matching of its strict order (Dilworth; Fulkerson)."""
+    up = _strict_rows(p.leq)
+    down = _strict_rows(zip(*p.leq))
+    free = (1 << len(up)) - 1   # elements incomparable to everything kept
+    width = len(up) - _matching(up, free)
+    kept = []
+    for i in range(len(up)):
+        if not free >> i & 1:
+            continue
+        rest = free & ~up[i] & ~down[i] & ~((2 << i) - 1)
+        need = width - len(kept) - 1
+        # no set is wider than it is large: match only when that reaches
+        if rest.bit_count() >= need and rest.bit_count() - _matching(up, rest) >= need:
+            kept.append(i)
+            free = rest
+    return [p.elements[i] for i in kept]
 
 
 def increasing_subsequence(carrier: Carrier, seq) -> list[int]:
@@ -330,16 +349,10 @@ class FinitePomonoid:
                 for c in range(n):
                     if t[t[a][b]][c] != t[a][t[b][c]]:
                         raise InputError(f"associativity fails at indices ({a}, {b}, {c})")
-        leq = self.poset.leq
-        for a in range(n):
-            for b in range(n):
-                if not leq[a][b]:
-                    continue
-                for c in range(n):
-                    if not leq[t[a][c]][t[b][c]] or not leq[t[c][a]][t[c][b]]:
-                        raise InputError(
-                            "operation is not order-preserving at indices "
-                            f"({a} <= {b}, translate by {c})")
+        broken = _broken_translation(t, _rows(self.poset.leq))
+        if broken:
+            raise InputError("operation is not order-preserving at indices "
+                             "({} <= {}, translate by {})".format(*broken))
 
     def op(self, a, b):
         ia, ib = self.poset.index(a), self.poset.index(b)
@@ -366,23 +379,20 @@ class FinitePomonoid:
         return FinitePomonoid(poset, tuple(tuple(r) for r in obj["cayley"]), obj["unit"])
 
 
+def _broken_translation(t, rel):
+    """The first (a, b, c) with a rel b but not a*c rel b*c or not c*a rel
+    c*b, for a relation given as bitset rows; None if there is none."""
+    for a, row in enumerate(rel):
+        for b in _bits(row):
+            for c in range(len(rel)):
+                if not rel[t[a][c]] >> t[b][c] & 1 or not rel[t[c][a]] >> t[c][b] & 1:
+                    return a, b, c
+    return None
+
+
 def is_strict_pomonoid(m: FinitePomonoid) -> bool:
     """Both-sided strict translation: s < s' forces s*t < s'*t and t*s < t*s'."""
-    n = len(m.poset.elements)
-    leq = m.poset.leq
-    t = m.cayley
-
-    def lt(i, j):
-        return i != j and leq[i][j]
-
-    for s in range(n):
-        for s2 in range(n):
-            if not lt(s, s2):
-                continue
-            for c in range(n):
-                if not lt(t[s][c], t[s2][c]) or not lt(t[c][s], t[c][s2]):
-                    return False
-    return True
+    return _broken_translation(m.cayley, _strict_rows(m.poset.leq)) is None
 
 
 def embed_finite_pomonoid(m: FinitePomonoid):

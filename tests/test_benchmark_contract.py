@@ -1,7 +1,8 @@
-"""The benchmark's contract with this code: one pass of each workload, a
-traced checker pass and the known-defect probe, run through
+"""The benchmark's contract with this code: an untraced and a traced pass
+of each workload and the known-defect probe, run through
 ``benchmarks/run.py``'s own helpers, end with a JSON line in which every
-operation is ``ok``, and the CLI cold start that ``setup_s`` times runs."""
+operation is ``ok``; the traced passes read every per-layer metric; and
+the CLI cold start that ``setup_s`` times runs."""
 
 import importlib.util
 import pathlib
@@ -34,8 +35,15 @@ def test_cold_start_snippet_runs(run):
     assert run.cold_start() > 0
 
 
-def test_traced_checker_pass_counts_cones(run):
-    # the tracer wraps finspace._mediators and calls its check with one point
-    report = run.run_pass("checker", 7, trace=True)
+@pytest.mark.parametrize("workload", ["window-render", "point-query", "checker"])
+def test_traced_pass_reads_every_layer(run, workload):
+    # the tracer nulls the metrics of any hook it no longer finds, so a
+    # renamed or removed hook shows up here as a None
+    report = run.run_pass(workload, 7, trace=True)
     assert report["outcomes"] and set(report["outcomes"]) == {"ok"}
-    assert report["layers"]["finspace.cones"] > 0
+    assert [name for name, value in report["layers"].items() if value is None] == []
+    if workload == "checker":
+        # the tracer wraps finspace._mediators and calls its check with one point
+        assert report["layers"]["finspace.cones"] > 0
+        assert report["layers"]["posets.longest_chain.self_s"] > 0
+        assert report["layers"]["posets.largest_antichain.self_s"] > 0

@@ -179,6 +179,30 @@ def test_poset_largest_antichain(capsys):
     assert json.loads(out)["size"] == 3
 
 
+def poset_file(tmp_path, n, le):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"elements": list(range(n)),
+                                "leq": [[le(a, b) for b in range(n)] for a in range(n)]}))
+    return str(path)
+
+
+def test_poset_longest_chain_of_a_long_chain(capsys, tmp_path):
+    # longer than the interpreter's recursion limit
+    path = poset_file(tmp_path, 1100, lambda a, b: a <= b)
+    code, out, _ = run_cli(capsys, "poset", "--operation", "longest-chain",
+                           "--input", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"chain": list(range(1100)), "length": 1100}
+
+
+def test_poset_largest_antichain_past_twenty_elements(capsys, tmp_path):
+    path = poset_file(tmp_path, 25, lambda a, b: a == b)
+    code, out, _ = run_cli(capsys, "poset", "--operation", "largest-antichain",
+                           "--input", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"antichain": list(range(25)), "size": 25}
+
+
 def test_poset_validate_reports_violations(capsys):
     bad = json.dumps({"elements": [0, 1], "leq": [[True, True], [True, True]]})
     code, out, _ = run_cli(capsys, "poset", "--operation", "validate",

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from genseries import (ALL, FinitePomonoid, FinitePoset, GridTail, InputError,
                        IntRing, IntUsual, NatDiscrete, NatUsual, PosNatDivisibility,
-                       RationalGrid, SizeBoundError, StrictnessError,
+                       RationalGrid, StrictnessError,
                        TailGE, Truncated, classify_subset,
                        embed_finite_pomonoid, finite, from_terms, increasing_subsequence,
                        is_strict_map, is_strict_pomonoid, largest_antichain,
@@ -13,6 +13,7 @@ from genseries.catalog import FreeWords, IntDiscrete, PosNatMulUsual
 from genseries.errors import DescriptorError
 
 import oracles
+import poset_oracle
 
 
 def divisor_poset(n):
@@ -115,8 +116,51 @@ def test_largest_antichain_examples():
 
 
 def test_largest_antichain_size_bound():
-    with pytest.raises(SizeBoundError):
-        largest_antichain(antichain(25))
+    # past the 20 elements the exponential search was capped at, the
+    # matching-based search still answers
+    assert largest_antichain(antichain(25)) == list(range(25))
+
+
+@st.composite
+def random_posets(draw, max_size):
+    """Random orders on 0..n-1: strict pairs along a shuffled order at one
+    of five densities, closed transitively."""
+    n = draw(st.integers(min_value=0, max_value=max_size))
+    perm = draw(st.permutations(range(n)))
+    density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.5, 0.8]))
+    rng = draw(st.randoms(use_true_random=False))
+    lt = [[False] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            lt[perm[a]][perm[b]] = rng.random() < density
+    for k in range(n):
+        for i in range(n):
+            if lt[i][k]:
+                for j in range(n):
+                    lt[i][j] = lt[i][j] or lt[k][j]
+    return FinitePoset.build(range(n), [[i == j or lt[i][j] for j in range(n)]
+                                        for i in range(n)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(random_posets(14))
+def test_chain_and_antichain_agree_with_the_recursive_search(p):
+    assert longest_chain(p) == poset_oracle.longest_chain(p)
+    assert largest_antichain(p) == poset_oracle.largest_antichain(p)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(random_posets(10))
+def test_largest_antichain_size_agrees_with_brute_force(p):
+    assert len(largest_antichain(p)) == oracles.brute_largest_antichain_len(p.elements, p.le)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_violations_agree_with_the_matrix_loops(leq):
+    labels = list(range(len(leq)))
+    assert poset_violations(labels, leq) == poset_oracle.poset_violations(labels, leq)
 
 
 def test_increasing_subsequence_examples():
@@ -287,6 +331,13 @@ def test_embedded_monoid_refuses_negative_windows():
         with pytest.raises(InputError, match="window must be a nonnegative integer"):
             call()
     assert series.render(0) == "1 + 2·1"  # a table monomial is its label
+
+
+def test_order_breaking_translation_names_the_first_triple():
+    # on the chain 0 < 1 < 2, addition mod 3 first breaks 0 <= 1 under + 2
+    table = tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3))
+    with pytest.raises(InputError, match=r"indices \(0 <= 1, translate by 2\)$"):
+        FinitePomonoid(chain(3), table, 0)
 
 
 def test_embedded_monoid_is_finite_support_only():
