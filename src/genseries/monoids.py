@@ -52,13 +52,14 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from itertools import count, repeat
 
 from .catalog import (ALL, All, Carrier, Descriptor, FiniteSet, FreeWords,
                       GridTail, IntDiscrete, IntUsual, NatDiscrete, NatUsual,
                       PosNatDivisibility, PosNatMulUsual, RationalGrid,
-                      TailGE, Truncated, _is_int, carrier_from_spec, finite)
+                      TailGE, Truncated, _exp_text, _is_int, carrier_from_spec,
+                      finite)
 from .errors import CarrierError, DescriptorError, InputError
 
 
@@ -105,9 +106,9 @@ class Monoid:
     def list_kernel(self, points):
         """The list kernel for the products of two infinite series in a query
         at ``points``, or None: then each point sums its fiber.  A kernel runs
-        on value lists over the prefix from the unit, which holds every fiber
-        of its points; a family with one commutes and admits no infinite
-        descriptor but ALL."""
+        on integer lists lifted from the value lists over the prefix from the
+        unit, which holds every fiber of its points; a family with one
+        commutes and admits no infinite descriptor but ALL."""
         return None
 
     def sort_key(self, x):
@@ -213,29 +214,80 @@ def _check_region(region):
 
 
 # ---------------------------------------------------------------------------
-# list kernels: kernel(f, g, ks, add, mul, zero) is the product of the value
-# lists f and g at each k in ks
+# list kernels: kernel(f, g, ks) is the product of the integer lists f and g at
+# each k in ks, a list read as zero past its end.  A ring runs them on its
+# value lists lifted to integers (``Ring.kernel_product``).
+
+# a Cauchy product at more points than this is one big-integer product; below,
+# each point is one dot product (break-even measured at 16 to 32 points)
+_PACK_ABOVE = 24
 
 
-def _cauchy(f: list, g: list, ks, add, mul, zero) -> list:
+def _cauchy(f: list, g: list, ks) -> list:
     """At each k, the sum of f[i] * g[k - i] over i <= k: products on nat and trunc."""
-    rg = g[::-1]
-    top = len(f) - 1
-    # plain ints take sum's fast path; other rings fold with their own add
-    total = sum if add is operator.add else (lambda terms: reduce(add, terms, zero))
-    return [total(map(mul, f, rg[top - k:])) for k in ks]  # map stops after k + 1 terms
+    if len(ks) > _PACK_ABOVE:
+        return _kronecker(f, g, ks)
+    if not ks:
+        return []
+    rg = g[max(ks)::-1]  # g reversed, from as far as the last point needs
+    top = len(rg) - 1
+    # map stops after the shorter list: f[i] meets g[k - i] for i <= k
+    return [sum(map(operator.mul, f, rg[top - k:])) if k <= top
+            else sum(map(operator.mul, f[k - top:], rg)) for k in ks]
 
 
-def _sieve(f: list, g: list, ks, add, mul, zero) -> list:
+def _kronecker(f: list, g: list, ks) -> list:
+    """``_cauchy`` by Kronecker substitution: f and g evaluated at X = 2^(8w)
+    multiply as two integers, whose base-X digits are the coefficients.  Each
+    |coefficient| is at most max|f|·max|g|·min(len f, len g), so w bytes hold
+    it with a sign bit; adding X/2 to each digit makes them all nonnegative,
+    to be read off as w-byte numbers."""
+    n = max(ks) + 1
+    square = f is g  # CPython squares faster than it multiplies
+    f, g = f[:n], g[:n]
+    bound = max(map(abs, f), default=0) * max(map(abs, g), default=0) * min(len(f), len(g))
+    if not bound:
+        return [0] * len(ks)
+    w = (bound.bit_length() + 8) // 8  # the bits of bound, plus a sign bit, in bytes
+    half = 1 << (8 * w - 1)
+    packed = _pack(f, w)
+    product = packed * packed if square else packed * _pack(g, w)
+    # the digits below n: the ones above can only borrow from higher up
+    digits = (product + int.from_bytes(half.to_bytes(w, "little") * n, "little")) & (
+        (1 << 8 * w * n) - 1)
+    raw, read = digits.to_bytes(w * n, "little"), int.from_bytes
+    return [read(raw[k * w:k * w + w], "little") - half for k in ks]
+
+
+def _pack(values: list, w: int) -> int:
+    """The sum of values[i] · 2^(8wi), each |value| below 2^(8w - 1)."""
+    packed = int.from_bytes(b"".join([v.to_bytes(w, "little", signed=True) for v in values]),
+                            "little")
+    if min(values) < 0:
+        # a negative v went in as its two's complement v + 2^(8w): take that
+        # 2^(8w) off again, one digit up
+        carries = bytearray(w * (len(values) + 1))
+        carries[w::w] = bytes(map((0).__gt__, values))
+        packed -= int.from_bytes(carries, "little")
+    return packed
+
+
+def _sieve(f: list, g: list, ks) -> list:
     """At each k, the sum of f[d] * g[e] over d * e = k: Dirichlet products; index
-    0 is unused.  The N·H(N) terms up to N = len(f) - 1 take about 2√N slice
+    0 is unused.  The N·H(N) terms up to N = max(ks) take about 2√N slice
     steps, split at s = isqrt(N) as in Dirichlet's hyperbola method: one over
     the multiples of each d <= s, and, since d > s leaves e <= N // (s + 1),
     one over d in s + 1..N // e for each such e.  f's value is always the left
-    factor, so noncommutative rings stay exact."""
-    top = len(f) - 1
+    factor, so a ring whose lift splits noncommuting values keeps their order."""
+    if not ks:
+        return []
+    top = max(ks)
+    f, g = f[:top + 1], g[:top + 1]
+    f += [0] * (top + 1 - len(f))
+    g += [0] * (top + 1 - len(g))
     s = math.isqrt(top)
-    out = [zero] * (top + 1)
+    add, mul = operator.add, operator.mul
+    out = [0] * (top + 1)
     for d in range(1, s + 1):
         out[d::d] = map(add, out[d::d], map(mul, repeat(f[d]), g[1:top // d + 1]))
     for e in range(1, top // (s + 1) + 1):
@@ -529,7 +581,7 @@ class TableMonoid(Monoid):
         return self.labels.index(x)
 
     def monomial(self, x):
-        return str(x)
+        return _exp_text(x)
 
     def describe(self):
         return f"table-monoid({len(self.labels)} elements)"

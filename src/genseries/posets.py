@@ -7,10 +7,10 @@ necessarily finite, and that implication is enforced as a post-check on
 every result this module emits.
 
 Finite posets are read as bitset rows, one ``int`` up-set per element:
-the order laws, the longest chain and the largest antichain (Dilworth's
-theorem through matchings, polynomial with no size cap) run on them.
-Strict-map checking and the pomonoid machinery, which turns a strict
-finite pomonoid into a total finiteness monoid, complete the module.
+the order laws, the longest chain, the largest antichain (Dilworth's
+theorem through matchings, polynomial with no size cap) and strict-map
+checking run on them.  The pomonoid machinery, which turns a strict
+finite pomonoid into a total finiteness monoid, completes the module.
 """
 
 from __future__ import annotations
@@ -310,9 +310,18 @@ def is_strict_map(f, p: FinitePoset, q: FinitePoset) -> bool:
     for a in p.elements:
         if a not in f:
             raise InputError(f"mapping is not total: missing {a!r}")
-    for a in p.elements:
-        for b in p.elements:
-            if p.lt(a, b) and not q.lt(f[a], f[b]):
+    # each label's first index, as FinitePoset.index finds it
+    at = {label: i for i, label in reversed(list(enumerate(q.elements)))}
+
+    def index(label):
+        if label not in at:
+            raise InputError(f"{label!r} is not in the poset")
+        return at[label]
+
+    images, q_rows = [f[a] for a in p.elements], _rows(q.leq)
+    for i, up in enumerate(_strict_rows(p.leq)):
+        for j in _bits(up):
+            if images[i] == images[j] or not q_rows[index(images[i])] >> index(images[j]) & 1:
                 return False
     return True
 

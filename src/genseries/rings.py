@@ -7,16 +7,25 @@ ring-axiom checker rely on decidable equality, and a coefficient-zero
 test drives support filtering in the series module.
 
 Elements are plain hashable Python values (int, Fraction, or a flat
-row-major 4-tuple for matrices); the ring object carries the operations,
-and series kernels call them as they are.  ``zero`` and ``one`` are class
-constants.  The integers and rationals bind ``add``, ``neg``, ``mul``,
-``eq`` and ``is_zero`` to the ``operator`` builtins and render with ``str``,
-so their arithmetic and output cost no method call; ``mod n`` and ``mat2``
-define their own methods.
+row-major 4-tuple for matrices); the ring object carries the operations.
+``zero`` and ``one`` are class constants.  The integers and rationals bind
+``add``, ``neg``, ``mul``, ``eq`` and ``is_zero`` to the ``operator``
+builtins and render with ``str``, so their arithmetic and output cost no
+method call; ``mod n`` and ``mat2`` define their own methods.
+
+Series list kernels take no ring operations: they multiply integer lists.
+Each ring lifts a value list to integer lists (``lift``, and ``lift_ints``
+for the images of integers), multiplies lifted lists through a kernel
+(``kernel_product``) and lowers them back (``lower``).  The integers are
+the identity; rationals are integer numerators over one denominator;
+``mod n`` runs on representatives, reduced once per product, since Z -> Z/n
+is a ring homomorphism; ``mat2`` is four entry lists, one product eight
+kernel calls with each f entry on the left.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +68,27 @@ class Ring:
 
     def render(self, a) -> str:
         return str(a)
+
+    # -- the integer kernel (see the module docstring) ------------------------
+    # These defaults serve a ring of integers.
+
+    def lift(self, values: list):
+        """A value list as integer lists."""
+        return values
+
+    def lift_ints(self, ints: list):
+        """The lifted list of the images (``from_int``) of integers."""
+        return ints
+
+    def lower(self, lifted) -> list:
+        """The value list of a lifted list."""
+        return lifted
+
+    def kernel_product(self, kernel, f, g, ks):
+        """The lifted list of the product of lifted lists f and g at each k in
+        ks, where ``kernel(f, g, ks)`` is a product of integer lists, f's
+        values the left factors."""
+        return kernel(f, g, ks)
 
     def element_to_json(self, a):
         raise NotImplementedError
@@ -121,6 +151,25 @@ class RationalRing(_Numbers, Ring):
     def from_int(self, n):
         return Fraction(n)
 
+    # lifted: integer numerators over one denominator
+
+    def lift(self, values):
+        den = math.lcm(*{v.denominator for v in values})
+        if den == 1:
+            return [v.numerator for v in values], 1
+        return [v.numerator * (den // v.denominator) for v in values], den
+
+    def lift_ints(self, ints):
+        return ints, 1
+
+    def lower(self, lifted):
+        numerators, den = lifted
+        return list(map(Fraction, numerators)) if den == 1 else [
+            Fraction(v, den) for v in numerators]
+
+    def kernel_product(self, kernel, f, g, ks):
+        return kernel(f[0], g[0], ks), f[1] * g[1]
+
     def is_element(self, a):
         return isinstance(a, Fraction) or _is_int(a)
 
@@ -155,6 +204,15 @@ class ModRing(Ring):
 
     def from_int(self, n):
         return n % self.modulus
+
+    # lifted: representatives, reduced once per kernel product, since Z -> Z/n
+    # is a ring homomorphism; lift and lower are the identity
+
+    def lift_ints(self, ints):
+        return [v % self.modulus for v in ints]
+
+    def kernel_product(self, kernel, f, g, ks):
+        return [v % self.modulus for v in kernel(f, g, ks)]
 
     def is_element(self, a):
         return _is_int(a) and 0 <= a < self.modulus
@@ -206,6 +264,37 @@ class Mat2Ring(Ring):
 
     def from_int(self, n):
         return (n, 0, 0, n)
+
+    # lifted: the four entry lists, row-major
+
+    def lift(self, values):
+        return tuple([a[i] for a in values] for i in range(4))
+
+    def lift_ints(self, ints):
+        zeros = [0] * len(ints)
+        return ints, zeros, zeros, ints
+
+    def lower(self, lifted):
+        return list(zip(*lifted))
+
+    def kernel_product(self, kernel, f, g, ks):
+        # (fg)ij = fi1·g1j + fi2·g2j, each f entry the left factor.  A pair of
+        # entry lists is multiplied once (a scalar matrix's diagonal is one
+        # list), and not at all where one is all zero (its other two entries).
+        products, zeros = {}, [0] * len(ks)
+
+        def times(a, b):
+            key = id(a), id(b)  # a and b live as long as the dict
+            if key not in products:
+                products[key] = kernel(a, b, ks) if any(a) and any(b) else zeros
+            return products[key]
+
+        def plus(x, y):
+            return y if x is zeros else x if y is zeros else list(map(operator.add, x, y))
+
+        (f11, f12, f21, f22), (g11, g12, g21, g22) = f, g
+        return tuple(plus(times(a, b), times(c, d)) for a, b, c, d in (
+            (f11, g11, f12, g21), (f11, g12, f12, g22), (f21, g11, f22, g21), (f21, g12, f22, g22)))
 
     def is_element(self, a):
         return isinstance(a, tuple) and len(a) == 4 and all(_is_int(v) for v in a)

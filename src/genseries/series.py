@@ -43,21 +43,28 @@ It walks the build record once, iteratively, so chain depth costs no
 stack, and it asks each operand only for what its parents need: a
 product needs its factors on the fibers of its points.  The monoid's
 family picks how a product of two infinite factors is computed
-(``Monoid.list_kernel``): a Cauchy product over lists on the additive
-naturals, one dot product per point, and a Dirichlet sieve for a whole
-window on the positive naturals, while a single query there sums its
-divisor pairs; everywhere else fibers come from ``Monoid.fiber``.  Kernels
-and convolutions take their arithmetic from the ring's own operations,
-except that a list kernel runs rationals on integer numerators over one
-denominator.  Where a list kernel runs, every fiber of a point lies in the
-prefix below it, so such a product needs its factors on a prefix.  A leaf
-or another such product is evaluated there as one value list, on the
-longest prefix its parents need; any other series (a sum, a negation, a
-product with a finite table) is computed point by point at the prefix's
-points, and the kernel reads its list off its memo.  A series needed at a
-point above its prefix computes that point alone.  Each series keeps its values in
-its memo, so repeated queries reuse work below the root, and leaves are
-read only at members of their support, once each.
+(``Monoid.list_kernel``): a Cauchy product on the additive naturals and a
+Dirichlet sieve for a whole window on the positive naturals, while a single
+query there sums its divisor pairs; everywhere else fibers come from
+``Monoid.fiber`` and the ring's own operations.  A list kernel multiplies
+integer lists only.  The ring lifts a value list to integer lists
+(``Ring.lift``), runs the kernel on lifted lists (``Ring.kernel_product``)
+and lowers a product's list to values only to keep them in its memo, so a
+chain of kernel products stays on integers: rationals as numerators over
+one denominator, residues as representatives, matrices as four entry lists.
+The Cauchy kernel reads a prefix off one big-integer product (Kronecker
+substitution) and a few points off dot products.  Where a list kernel runs,
+every fiber of a point lies in the prefix below it, so such a product needs
+its factors on a prefix.  A leaf or another such product is evaluated there
+as one lifted list, on the longest prefix its parents need: a builtin leaf
+(``geometric``, ``zeta``, ``moebius``) hands over its integer prefix at
+once and keeps it out of its memo, and any other leaf is read point by
+point.  Any other series (a sum, a negation, a product with a finite table)
+is computed point by point at the prefix's points, and its list is lifted
+off its memo.  A series needed at a point above its prefix computes that
+point alone.  Each series keeps its values in its memo, so repeated queries
+reuse work below the root, and leaves other than the builtins are read only
+at members of their support, once each.
 
 Checks run at the boundary, not in the evaluator: ``from_terms`` checks
 every element and coefficient, ``from_function`` admits its support and
@@ -77,16 +84,15 @@ and its support is published only from that.
 
 from __future__ import annotations
 
-import math
 import operator
-from fractions import Fraction
 
 from .catalog import ALL, All, FiniteSet, _is_int, finite
 from .errors import InputError, SizeBoundError
 from .monoids import Monoid, nat, posnat_mul
-from .rings import RationalRing, Ring
+from .rings import Ring
 
-# how a series was built: ("table",), ("leaf", fn), ("add", f, g), ("neg", f),
+# how a series was built: ("table",), ("leaf", fn, ints) with ints(n) a builtin's
+# integer values over 0..n - 1 (None for other leaves), ("add", f, g), ("neg", f),
 # ("mul", f, g) with an infinite factor, or ("finite-mul", f, g) of two finite
 # ones whose table is not built yet (then it becomes _TABLE)
 _TABLE = ("table",)
@@ -363,9 +369,10 @@ def _evaluate(root: GenSeries, points) -> list:
     operands; then, operands first, each node computes its demand.  A demand
     is a set of points -- members of the support that the memo lacks -- and,
     for a leaf or a product of two infinite series that the monoid's list
-    kernel runs, a prefix unit..top as well, computed as one value list
-    indexed by element (zero below the unit).  Such a node drops the points
-    its prefix holds, and a memo that holds its whole prefix is read.  A
+    kernel runs, a prefix unit..top as well, computed as one lifted list
+    indexed by element (zero below the unit).  Such a product drops the
+    points its prefix holds, and a memo that holds its whole prefix is
+    lifted; a leaf computes its points on their own.  A
     kernel product needs its factors up to its last point: a leaf or another
     kernel product on that prefix, any other series at each of the prefix's
     points, whose list the kernel then reads off its memo.  A sum or a
@@ -397,21 +404,21 @@ def _evaluate(root: GenSeries, points) -> list:
         node for node in order if node._build[0] == "mul"
         and not (_is_finite(node._build[1]) or _is_finite(node._build[2]))}
     plans = {}  # other product -> the fibers {m: pairs} of its points
-    lists = {}  # leaf or kernel product -> its values over 0..its top, or further
+    lists = {}  # leaf or kernel product -> its lifted values over 0..its top, or further
     for node in reversed(order):  # parents first, so each demand is whole when passed on
         wanted, top = need.get(node), tops.get(node)
+        op, *operands = node._build
+        if op == "leaf":
+            continue
         if top is not None:
             if wanted:
                 wanted = need[node] = {m for m in wanted if m > top}
             memo = node._memo
             if memo and all(m in memo for m in range(unit, top + 1)):
-                lists[node] = [zero] * unit + [memo[m] for m in range(unit, top + 1)]
+                lists[node] = ring.lift([zero] * unit + [memo[m] for m in range(unit, top + 1)])
                 del tops[node]
                 top = None
         if not wanted and top is None:
-            continue
-        op, *operands = node._build
-        if op == "leaf":
             continue
         if node in kernels:
             last = max(wanted) if wanted else top  # points lie above the prefix
@@ -429,12 +436,11 @@ def _evaluate(root: GenSeries, points) -> list:
             for h in operands:
                 demand(h, wanted)
 
-    def column(f, n):  # f's values over 0..n-1: its list, or else its memo
-        if f not in lists:
-            memo = f._memo
-            return [zero] * unit + [memo[m] for m in range(unit, n)]
-        values = lists[f]
-        return values if len(values) == n else values[:n]
+    def column(f, n):  # f's lifted values over 0..n-1: its list, or else its memo's
+        if f in lists:
+            return lists[f]  # a kernel reads a longer list only as far as it needs
+        memo = f._memo
+        return ring.lift([zero] * unit + [memo[m] for m in range(unit, n)])
 
     for node in order:
         wanted, top = need.get(node), tops.get(node)
@@ -443,22 +449,28 @@ def _evaluate(root: GenSeries, points) -> list:
         memo = node._memo
         op, *operands = node._build
         if op == "leaf":
-            fn = operands[0]
+            fn, ints = operands
             if top is not None:
-                values = lists[node] = [zero] * unit + [memo[m] if m in memo else fn(m)
-                                                        for m in range(unit, top + 1)]
-                memo.update(zip(range(unit, top + 1), values[unit:]))
+                if ints is not None:  # a builtin: its prefix at once, not kept
+                    lists[node] = ring.lift_ints(ints(top + 1))
+                else:
+                    values = [memo[m] if m in memo else fn(m) for m in range(unit, top + 1)]
+                    memo.update(zip(range(unit, top + 1), values))
+                    lists[node] = ring.lift([zero] * unit + values)
             for m in wanted or ():
-                memo[m] = fn(m)
+                if m not in memo:  # not read by the prefix just now
+                    memo[m] = fn(m)
             continue
-        if node in kernels:  # the prefix and the points in one run
-            ks = list(range(unit, top + 1)) if top is not None else []
-            ks += wanted or ()
-            n = max(ks) + 1
-            values = _products(kernel, ring, column(operands[0], n), column(operands[1], n), ks)
-            memo.update(zip(ks, values))
+        if node in kernels:  # the prefix, then the points above it
+            n = (max(wanted) if wanted else top) + 1
+            f = column(operands[0], n)
+            g = f if operands[1] is operands[0] else column(operands[1], n)
             if top is not None:
-                lists[node] = [zero] * unit + values[:top + 1 - unit]
+                values = lists[node] = ring.kernel_product(kernel, f, g, range(top + 1))
+                memo.update(zip(range(unit, top + 1), ring.lower(values)[unit:]))
+            if wanted:
+                ks = list(wanted)
+                memo.update(zip(ks, ring.lower(ring.kernel_product(kernel, f, g, ks))))
             continue
         fv = operands[0]._memo
         if op == "neg":
@@ -478,25 +490,6 @@ def _evaluate(root: GenSeries, points) -> list:
             memo[m] = total
     memo = root._memo
     return [memo.get(m, zero) for m in points]
-
-
-def _products(kernel, ring: Ring, f: list, g: list, ks: list) -> list:
-    """The kernel's values at ks; rationals run it on integer numerators, and
-    need no division when every denominator is 1."""
-    if isinstance(ring, RationalRing):
-        (fi, fd), (gi, gd) = _lift(f), _lift(g)
-        values = kernel(fi, gi, ks, operator.add, operator.mul, 0)
-        den = fd * gd
-        return list(map(Fraction, values)) if den == 1 else [Fraction(v, den) for v in values]
-    return kernel(f, g, ks, ring.add, ring.mul, ring.zero)
-
-
-def _lift(values: list):
-    """Rationals as integer numerators over one common denominator."""
-    den = math.lcm(*{v.denominator for v in values})
-    if den == 1:
-        return [v.numerator for v in values], 1
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _convolve(monoid: Monoid, ring: Ring, f: dict, g: dict) -> dict:
@@ -555,7 +548,7 @@ def from_function(monoid: Monoid, ring: Ring, support, fn) -> GenSeries:
     if isinstance(support, FiniteSet):
         table = {m: fn(m) for m in support.elements}
         return GenSeries(monoid, ring, support, _TABLE, table)
-    return GenSeries(monoid, ring, support, ("leaf", fn))
+    return GenSeries(monoid, ring, support, ("leaf", fn, None))
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +557,13 @@ def from_function(monoid: Monoid, ring: Ring, support, fn) -> GenSeries:
 
 def geometric(ring: Ring) -> GenSeries:
     """1 + T + T^2 + ... over the naturals."""
-    return GenSeries(nat(), ring, ALL, ("leaf", lambda m: ring.one))
+    return GenSeries(nat(), ring, ALL, ("leaf", lambda m: ring.one, lambda n: [1] * n))
 
 
 def zeta(ring: Ring) -> GenSeries:
     """The arithmetic function that is constantly one (Dirichlet zeta)."""
-    return GenSeries(posnat_mul(), ring, ALL, ("leaf", lambda m: ring.one))
+    return GenSeries(posnat_mul(), ring, ALL,
+                     ("leaf", lambda m: ring.one, lambda n: [0] + [1] * (n - 1)))
 
 
 def moebius(ring: Ring, bound: int) -> GenSeries:
@@ -587,7 +581,12 @@ def moebius(ring: Ring, bound: int) -> GenSeries:
             raise SizeBoundError(f"moebius precomputed up to {bound}, asked for {n}")
         return ring.from_int(values[n])
 
-    return GenSeries(posnat_mul(), ring, ALL, ("leaf", mu))
+    def prefix(n):  # the values over 0..n - 1
+        if n > bound + 1:
+            raise SizeBoundError(f"moebius precomputed up to {bound}, asked for {bound + 1}")
+        return values[:n]
+
+    return GenSeries(posnat_mul(), ring, ALL, ("leaf", mu, prefix))
 
 
 def _moebius_table(bound: int) -> list[int]:

@@ -213,6 +213,21 @@ def test_strict_map_examples():
     assert is_strict_map({x: 2 * x for x in d6.elements}, d6, d12)
 
 
+def test_strict_map_on_a_long_chain():
+    # each pair is read off bitset rows, so 300 elements (44,850 strict
+    # pairs) take well under a second
+    long = chain(300)
+    assert is_strict_map({x: x for x in long.elements}, long, long)
+    swapped = {x: x for x in long.elements}
+    swapped[10], swapped[200] = 200, 10  # 10 < 200, but 200 > 10
+    assert not is_strict_map(swapped, long, long)
+
+
+def test_strict_map_names_an_image_outside_the_codomain():
+    with pytest.raises(InputError, match="7 is not in the poset"):
+        is_strict_map({0: 0, 1: 7}, chain(2), chain(2))
+
+
 def test_strict_map_requires_totality():
     with pytest.raises(InputError):
         is_strict_map({0: 0}, chain(2), chain(2))
@@ -330,7 +345,7 @@ def test_embedded_monoid_refuses_negative_windows():
                  lambda: series.render(-5)):
         with pytest.raises(InputError, match="window must be a nonnegative integer"):
             call()
-    assert series.render(0) == "1 + 2·1"  # a table monomial is its label
+    assert series.render(0) == "1 + 2·T^1"  # a table monomial is T to its label
 
 
 def test_order_breaking_translation_names_the_first_triple():

@@ -19,10 +19,11 @@ from genseries import (ALL, GridTail, InputError, IntRing, Mat2Ring, ModRing, Ra
                        truncated, zeta)
 from genseries import monoids
 from genseries.cli import eval_expression, main
-from genseries.series import _convolve, _lift, _post_order, _products, power
+from genseries.series import _convolve, _post_order, power
 
 import oracles
 from conftest import ALL_RINGS, element_pool, random_series, ring_samples
+from genseries.selftest import lazy_support
 from test_series import _symmetric_group_monoid
 
 
@@ -39,16 +40,17 @@ def assert_paths_agree(series, region):
     assert all(series.ring.eq(got[m], want[m]) for m in want), (got, want)
 
 
-def random_tree(monoid, ring, rng, depth):
+def random_tree(monoid, ring, rng, depth, leaf=random_series):
     """A random expression tree of sums, negations, differences and products:
-    ("leaf", series), ("neg", tree) or (op, tree, tree)."""
+    ("leaf", series), ("neg", tree) or (op, tree, tree), with leaves from
+    leaf(monoid, ring, rng)."""
     if depth == 0 or rng.random() < 0.25:
-        return ("leaf", random_series(monoid, ring, rng))
+        return ("leaf", leaf(monoid, ring, rng))
     op = rng.choice(["add", "sub", "neg", "mul", "mul"])
-    f = random_tree(monoid, ring, rng, depth - 1)
+    f = random_tree(monoid, ring, rng, depth - 1, leaf)
     if op == "neg":
         return ("neg", f)
-    return (op, f, random_tree(monoid, ring, rng, depth - 1))
+    return (op, f, random_tree(monoid, ring, rng, depth - 1, leaf))
 
 
 def build(tree, built=None):
@@ -159,6 +161,38 @@ def test_coefficients_match_the_brute_force_reference(monoid, ring, rng):
         assert all(ring.eq(fresh.coeff(m), want(m)) for m in points)
 
 
+def noncommuting_leaf(monoid, ring, rng):
+    """``random_series``, but on mat2 over a carrier with an infinite support
+    a lazy series whose values are whole random matrices, which do not
+    commute (``random_series``'s lazy matrices are scalar)."""
+    support = lazy_support(monoid, rng) if isinstance(ring, Mat2Ring) else None
+    if support is None:
+        return random_series(monoid, ring, rng)
+    salt = rng.randint(0, 10 ** 6)
+    return from_function(monoid, ring, support, lambda m: ring_samples(
+        ring, random.Random(f"{salt}/{m!r}"), 1)[0])
+
+
+# windows past the packing threshold where a list kernel runs, small elsewhere
+WIDE = {"nat": 40, "nat-discrete": 40, "posnat-mul": 40, "posnat-div": 40, "int": 12,
+        "int-discrete": 12}
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=repr)
+@pytest.mark.parametrize("monoid", catalog_monoids(), ids=lambda m: m.describe())
+def test_wide_windows_match_the_brute_force_reference(monoid, ring, rng):
+    region = WIDE.get(monoid.carrier.name, 3)
+    for _ in range(4):
+        tree = random_tree(monoid, ring, rng, 3, noncommuting_leaf)
+        want = reference(tree, monoid, ring, region)
+        got = build(tree).window_coeffs(region)
+        assert all(ring.eq(c, want(m)) for m, c in got.items())
+        assert all(m in got for m in monoid.window(region) if not ring.is_zero(want(m)))
+        fresh = build(tree)  # single queries, highest first
+        points = monoid.window(region)[::-1][:6]
+        assert all(ring.eq(fresh.coeff(m), want(m)) for m in points)
+
+
 @pytest.mark.parametrize("ring", ALL_RINGS, ids=repr)
 @pytest.mark.parametrize("monoid", catalog_monoids(), ids=lambda m: m.describe())
 def test_window_path_equals_lazy_path(monoid, ring, rng):
@@ -230,6 +264,17 @@ def test_dirichlet_powers_and_inversion(ring):
     mu = oracles.moebius_sieve(n_max)
     got = moebius(ring, n_max).window_coeffs(n_max)
     assert all(ring.eq(got[n], ring.from_int(mu[n])) for n in range(1, n_max + 1))
+
+
+@pytest.mark.parametrize("ring", ["int", "rational"])
+def test_a_large_window_of_a_square_renders(ring, capsys):
+    # a 20,001-point Cauchy product is one packed integer product
+    assert main(["series-eval", "--monoid", "nat", "--ring", ring,
+                 "--expr", "geometric * geometric", "--window", "20000"]) == 0
+    terms = capsys.readouterr().out.rstrip("\n").split(" + ")
+    assert len(terms) == 20001 and terms[0] == "1"
+    for k in (1, 2, 777, 19999, 20000):
+        assert terms[k] == f"{k + 1}·T^{k}"
 
 
 def test_long_product_chain_renders_without_recursion(capsys):
@@ -736,6 +781,16 @@ def brute_dirichlet(ring, f, g, k):
                   ring.zero)
 
 
+def ring_kernel(kernel, ring, f, g, ks):
+    """The kernel's product of two value lists at ks, through the ring's lift."""
+    return ring.lower(ring.kernel_product(kernel, ring.lift(f), ring.lift(g), ks))
+
+
+def brute_cauchy(ring, f, g, k):
+    """The sum of f[i] * g[k - i] over i <= k, in order of i."""
+    return reduce(ring.add, (ring.mul(f[i], g[k - i]) for i in range(k + 1)), ring.zero)
+
+
 def random_values(ring, rng, n):
     """A value list over 0..n with index 0 unused, about one value in eight zero."""
     pool = ring_samples(ring, rng, 7) + [ring.zero]
@@ -751,7 +806,7 @@ def test_the_sieve_is_the_divisor_sum(ring, rng):
         f, g = random_values(ring, rng, top), random_values(ring, rng, top)
         ks = list(range(1, top + 1))
         rng.shuffle(ks)
-        got = monoids._sieve(f, g, ks, ring.add, ring.mul, ring.zero)
+        got = ring_kernel(monoids._sieve, ring, f, g, ks)
         assert got == [brute_dirichlet(ring, f, g, k) for k in ks], top
 
 
@@ -761,7 +816,7 @@ def test_the_sieve_keeps_f_on_the_left():
     for top in SIEVE_TOPS:
         f, g = [ring.zero] + [e12] * top, [ring.zero] + [e21] * top
         ks = list(range(1, top + 1))
-        got = monoids._sieve(f, g, ks, ring.add, ring.mul, ring.zero)
+        got = ring_kernel(monoids._sieve, ring, f, g, ks)
         assert got == [brute_dirichlet(ring, f, g, k) for k in ks], top
 
 
@@ -784,12 +839,66 @@ def test_rational_products_equal_the_kernel_on_fractions(kernel, left, right):
     ring = RationalRing()
     f, g = RATIONAL_LISTS[left], RATIONAL_LISTS[right]
     ks = [12, 0, 5, 7, 1, 11, 3] if kernel is monoids._cauchy else [12, 5, 7, 1, 11, 3]
-    got = _products(kernel, ring, f, g, ks)
-    assert got == kernel(f, g, ks, operator.add, operator.mul, ring.zero)
+    brute = brute_cauchy if kernel is monoids._cauchy else brute_dirichlet
+    got = ring_kernel(kernel, ring, f, g, ks)
+    assert got == [brute(ring, f, g, k) for k in ks]
     assert all(type(v) is Fraction for v in got)
 
 
+def dot_product(f, g, k):
+    """The Cauchy product of two integer lists at k, a list zero past its end."""
+    return sum(f[i] * g[k - i] for i in range(k + 1) if i < len(f) and k - i < len(g))
+
+
+def divisor_sum(f, g, k):
+    """The Dirichlet product of two integer lists at k, a list zero past its end."""
+    at = lambda values, i: values[i] if i < len(values) else 0  # noqa: E731
+    return sum(at(f, d) * at(g, k // d) for d in range(1, k + 1) if k % d == 0)
+
+
+INTEGERS = st.one_of(st.integers(-3, 3), st.just(0), st.integers(-2 ** 70, 2 ** 70),
+                     st.sampled_from([2 ** 64, -2 ** 64, 2 ** 64 - 1, -2 ** 63]))
+INTEGER_LISTS = st.one_of(st.lists(INTEGERS, max_size=300),
+                          st.builds(lambda n, v: [v] * n, st.integers(0, 300), INTEGERS))
+
+
+def kernel_points(data, f, g, low):
+    """Points from low up to past both lists' ends: a prefix or a random
+    list, below or above the packing threshold."""
+    top = len(f) + len(g) + 1
+    if data.draw(st.booleans()):
+        return list(range(low, data.draw(st.integers(low, top))))
+    return data.draw(st.lists(st.integers(low, top), max_size=2 * monoids._PACK_ABOVE + 10))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(f=INTEGER_LISTS, g=INTEGER_LISTS, data=st.data())
+def test_the_cauchy_kernel_is_the_dot_product(f, g, data):
+    ks = kernel_points(data, f, g, 0)
+    assert monoids._cauchy(f, g, ks) == [dot_product(f, g, k) for k in ks]
+    assert monoids._cauchy(f, f, ks) == [dot_product(f, f, k) for k in ks]  # a square
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(f=INTEGER_LISTS, g=INTEGER_LISTS, data=st.data())
+def test_the_sieve_kernel_is_the_divisor_sum(f, g, data):
+    ks = kernel_points(data, f, g, 1)
+    assert monoids._sieve(f, g, ks) == [divisor_sum(f, g, k) for k in ks]
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_the_packed_cauchy_reaches_its_digit_bound(signs):
+    # constant lists make the middle coefficient max|f|·max|g|·n itself, and
+    # the bound's bit length runs through every residue mod 8
+    n = monoids._PACK_ABOVE + 5
+    for e in range(24):
+        a, b = signs[0] * 2 ** e, signs[1] * 3
+        got = monoids._cauchy([a] * n, [b] * n, range(n))
+        assert got == [a * b * (k + 1) for k in range(n)], e
+
+
 def test_the_lift_divides_only_by_a_denominator_it_needs():
-    assert _lift(RATIONAL_LISTS["integers"]) == ([0, 1, -1, 3, 0, -4, 2, 1, -7, 5, 0, 6, 1], 1)
-    numerators, den = _lift([Fraction(1, 2), Fraction(-2, 3), Fraction(5), Fraction(0)])
+    lift = RationalRing().lift
+    assert lift(RATIONAL_LISTS["integers"]) == ([0, 1, -1, 3, 0, -4, 2, 1, -7, 5, 0, 6, 1], 1)
+    numerators, den = lift([Fraction(1, 2), Fraction(-2, 3), Fraction(5), Fraction(0)])
     assert (numerators, den) == ([3, -4, 30, 0], 6)
