@@ -229,9 +229,8 @@ class RationalGrid(Carrier):
     def leq(self, a, b):
         return a <= b
 
-    def element_to_json(self, x):
-        q = Fraction(x)
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    def element_to_json(self, x):  # an int has a numerator and a denominator too
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
     def element_from_json(self, obj):
         return parse_rational(obj)

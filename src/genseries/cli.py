@@ -398,7 +398,16 @@ def cmd_puiseux(args) -> int:
     spec = _field(args, blob, "ring", "ring", required=False) or "rational"
     ring = ring_from_spec(_parse_json_flag(spec))
     return _show_series(args, blob, monoid, ring, lambda series: {
-        "support": descriptor_to_json(monoid.carrier, series.support)})
+        "support": _support_json(monoid.carrier, series)})
+
+
+def _support_json(carrier, series):
+    """``descriptor_to_json`` of the series' support, a finite one listed off
+    its table in display order."""
+    elements = series.support_elements()
+    if elements is None:
+        return descriptor_to_json(carrier, series.support)
+    return {"finite": list(map(carrier.element_to_json, elements))}
 
 
 def cmd_classify(args) -> int:

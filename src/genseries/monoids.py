@@ -29,6 +29,16 @@ integers and the rational grid share one base for their tails, on which
 ``Monoid`` base holds the descriptor protocol that every monoid shares:
 finite sets, their bounds and their windows.
 
+It also holds the codec of the keys on which a finite series keeps its
+table, which mirrors ``Ring.lift`` and ``lower``: ``lift_table``,
+``lift_key``, ``lower_keys``, ``join_tables``, ``key_product`` and
+``window_keys``.  Everywhere but the rational grid a key is its element
+and the codec does nothing per key.  On the rational grid the key i over
+the scale n stands for i/n: a finite Puiseux series is a Laurent
+polynomial in T^(1/n), two tables meet on the lcm of their scales, and a
+``Fraction`` is built only where a key is read back as an element.  Over
+the scale 1 a key equals its element on every family.
+
 Descriptor admission is a rule table of its own; that it agrees with the
 order-theoretic classification (admitted iff artinian and narrow) is a
 tested invariant, not a definition, so the two routes stay independent.
@@ -120,6 +130,36 @@ class Monoid:
     def describe(self) -> str:
         raise NotImplementedError
 
+    # -- table keys (see the module docstring) --------------------------------
+    # ``lift_table`` gives a table on elements as (table on keys, scale),
+    # ``lift_key`` an element's key (None off the scale), ``lower_keys`` the
+    # elements of keys, ``join_tables`` two tables on one scale.  Here a key
+    # is its element and the scale is 1.
+
+    def lift_table(self, table: dict):
+        return table, 1
+
+    def lift_key(self, m, scale):
+        return m
+
+    def lower_keys(self, keys, scale):
+        return keys
+
+    def join_tables(self, f: dict, n, g: dict, k):
+        return f, g, 1
+
+    @property
+    def key_product(self):
+        return self.product
+
+    def window_keys(self, keys, scale, region=None) -> list:
+        """The keys over scale whose elements lie in the window (all of them
+        for region None), in display order."""
+        if region is not None:
+            _check_region(region)
+            keys = [x for x in keys if self._in_window(x, region)]
+        return sorted(keys, key=self.sort_key)
+
     # -- descriptors ---------------------------------------------------------
     # Finite sets of elements are admitted on every monoid, and their bounds
     # and windows are worked out here.  A subclass supplies the one infinite
@@ -194,10 +234,9 @@ class Monoid:
     def enumerate_admitted(self, desc: Descriptor, region: int) -> list:
         """``enumerate_desc`` of a descriptor already admitted, such as a
         series' own support: the trusted step that rendering runs."""
-        _check_region(region)
         if isinstance(desc, FiniteSet):
-            return sorted((x for x in desc.elements if self._in_window(x, region)),
-                          key=self.sort_key)
+            return self.window_keys(desc.elements, 1, region)
+        _check_region(region)
         if isinstance(desc, All):
             return self._window(region)
         return self._tail_window(desc, region)
@@ -475,15 +514,45 @@ class _GridMonoid(_TailMonoid):
 
     A window holds every rational with denominator and absolute value
     bounded by the region, which is enough to probe any fixed-grid tail.
+    A finite table's key i over the scale n stands for i/n.
     """
 
     unit = Fraction(0)
     generator = Fraction(1)
     _tail = staticmethod(GridTail)
+    key_product = staticmethod(operator.add)
 
     @staticmethod
     def product(a, b):
-        return Fraction(a) + Fraction(b)
+        s = a + b  # a Fraction unless both are ints
+        return s if type(s) is Fraction else Fraction(s)
+
+    @staticmethod
+    def lift_table(table):
+        n = math.lcm(*[m.denominator for m in table])  # an int's is 1
+        return {m.numerator * (n // m.denominator): c for m, c in table.items()}, n
+
+    @staticmethod
+    def lift_key(m, n):
+        k, off = divmod(m.numerator * n, m.denominator)
+        return None if off else k
+
+    @staticmethod
+    def lower_keys(keys, n):
+        return list(map(Fraction, keys)) if n == 1 else [Fraction(k, n) for k in keys]
+
+    @staticmethod
+    def join_tables(f, n, g, k):
+        lcm = math.lcm(n, k)
+        return _rescaled(f, lcm // n), _rescaled(g, lcm // k), lcm
+
+    @staticmethod
+    def window_keys(keys, n, region=None):
+        if region is not None:
+            _check_region(region)
+            top = region * n
+            keys = [k for k in keys if -top <= k <= top]
+        return sorted(keys)
 
     @staticmethod
     def _points(offsets, n):
@@ -521,6 +590,11 @@ class _WordMonoid(CatalogMonoid):
             frontier = [w + ch for w in frontier for ch in self.carrier.alphabet]
             out.extend(frontier)
         return sorted(out, key=self.sort_key)
+
+
+def _rescaled(table: dict, r: int) -> dict:
+    """A table on grid keys over n moved onto the scale r·n."""
+    return table if r == 1 else {i * r: c for i, c in table.items()}
 
 
 # Descriptor admission: finite sets on every carrier, plus at most one

@@ -15,7 +15,8 @@ finite pomonoid into a total finiteness monoid, completes the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 
 from .catalog import (All, Carrier, Descriptor, FiniteSet, FreeWords,
                       GridTail, IntDiscrete, IntUsual, NatDiscrete, NatUsual,
@@ -109,40 +110,74 @@ def _bits(x: int):
         x ^= low
 
 
-def _rows(leq) -> list[int]:
+def _rows(leq) -> tuple:
     """The relation as bitset rows: bit j of row i is set when leq[i][j]."""
-    return [sum(1 << j for j, v in enumerate(row) if v) for row in leq]
+    return tuple(sum(1 << j for j, v in enumerate(row) if v) for row in leq)
 
 
-def _strict_rows(leq) -> list[int]:
-    """Each element's strict up-set as a bitset row."""
-    return [row & ~(1 << i) for i, row in enumerate(_rows(leq))]
+def _strict(rows) -> list[int]:
+    """Each element's strict up-set, from the rows of the order."""
+    return [row & ~(1 << i) for i, row in enumerate(rows)]
+
+
+def _converse(rows) -> list[int]:
+    """The rows of the converse relation: bit i of row j is set when bit j of
+    row i is."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            out[j] |= 1 << i
+    return out
+
+
+# poset_violations lists at most this many, then counts the rest in one line
+_MAX_VIOLATIONS = 1000
 
 
 def poset_violations(elements, leq) -> list[str]:
-    """Reflexivity / antisymmetry / transitivity violations, on bitset rows."""
-    n = len(elements)
-    bad = []
-    if len(set(elements)) != n:
-        bad.append("duplicate element labels")
-        return bad
-    if len(leq) != n or any(len(row) != n for row in leq):
-        bad.append("relation matrix shape does not match the element list")
-        return bad
-    rows = _rows(leq)
+    """Reflexivity / antisymmetry / transitivity violations, on bitset rows:
+    the first ``_MAX_VIOLATIONS`` of them, then the number left out."""
+    return _shape_violations(elements, leq) or _law_violations(elements, _rows(leq))
+
+
+def _shape_violations(elements, leq) -> list[str]:
+    if len(set(elements)) != len(elements):
+        return ["duplicate element labels"]
+    if len(leq) != len(elements) or any(len(row) != len(elements) for row in leq):
+        return ["relation matrix shape does not match the element list"]
+    return []
+
+
+def _law_violations(elements, rows) -> list[str]:
+    bad = list(islice(_each_violation(elements, rows), _MAX_VIOLATIONS))
+    if len(bad) == _MAX_VIOLATIONS:
+        left = _violation_count(rows) - _MAX_VIOLATIONS
+        if left:
+            bad.append(f"... and {left} more violations")
+    return bad
+
+
+def _each_violation(elements, rows):
+    n = len(rows)
     for i in range(n):
         if not rows[i] >> i & 1:
-            bad.append(f"not reflexive at {elements[i]!r}")
+            yield f"not reflexive at {elements[i]!r}"
     for i in range(n):
         for j in _bits(rows[i] & ~(1 << i)):
             if rows[j] >> i & 1:
-                bad.append(f"antisymmetry fails on {elements[i]!r}, {elements[j]!r}")
+                yield f"antisymmetry fails on {elements[i]!r}, {elements[j]!r}"
     for i in range(n):
         for j in _bits(rows[i]):
             for k in _bits(rows[j] & ~rows[i]):  # i <= j <= k but not i <= k
-                bad.append(
-                    f"transitivity fails on {elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}")
-    return bad
+                yield f"transitivity fails on {elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}"
+
+
+def _violation_count(rows) -> int:
+    """How many messages ``_each_violation`` yields, by popcounts: O(n²)."""
+    n, down = len(rows), _converse(rows)
+    return (sum(not rows[i] >> i & 1 for i in range(n))
+            + sum((rows[i] & down[i] & ~(1 << i)).bit_count() for i in range(n))
+            + sum((rows[j] & ~rows[i]).bit_count() for i in range(n) for j in _bits(rows[i])))
 
 
 def _list_of_lists(value) -> bool:
@@ -167,9 +202,15 @@ class FinitePoset:
 
     elements: tuple
     leq: tuple
+    # the order as bitset rows, built once here, where the laws are checked,
+    # and read by the algorithms
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bad = poset_violations(self.elements, self.leq)
+        bad = _shape_violations(self.elements, self.leq)
+        if not bad:
+            object.__setattr__(self, "rows", _rows(self.leq))
+            bad = _law_violations(self.elements, self.rows)
         if bad:
             raise InputError("not a poset: " + "; ".join(bad))
 
@@ -214,7 +255,7 @@ class FinitePoset:
 
 def longest_chain(p: FinitePoset) -> list:
     """A maximum-length chain, via longest path over a linear extension."""
-    up = _strict_rows(p.leq)
+    up = _strict(p.rows)
     n = len(up)
     best = [0] * n    # longest chain starting at i, minus one
     nxt = [-1] * n
@@ -261,8 +302,8 @@ def largest_antichain(p: FinitePoset) -> list:
     is kept when it, the kept ones and the width of the later ones that are
     incomparable to all of them reach the width, a set's size minus a
     maximum matching of its strict order (Dilworth; Fulkerson)."""
-    up = _strict_rows(p.leq)
-    down = _strict_rows(zip(*p.leq))
+    up = _strict(p.rows)
+    down = _strict(_converse(p.rows))
     free = (1 << len(up)) - 1   # elements incomparable to everything kept
     width = len(up) - _matching(up, free)
     kept = []
@@ -318,8 +359,8 @@ def is_strict_map(f, p: FinitePoset, q: FinitePoset) -> bool:
             raise InputError(f"{label!r} is not in the poset")
         return at[label]
 
-    images, q_rows = [f[a] for a in p.elements], _rows(q.leq)
-    for i, up in enumerate(_strict_rows(p.leq)):
+    images, q_rows = [f[a] for a in p.elements], q.rows
+    for i, up in enumerate(_strict(p.rows)):
         for j in _bits(up):
             if images[i] == images[j] or not q_rows[index(images[i])] >> index(images[j]) & 1:
                 return False
@@ -358,7 +399,7 @@ class FinitePomonoid:
                 for c in range(n):
                     if t[t[a][b]][c] != t[a][t[b][c]]:
                         raise InputError(f"associativity fails at indices ({a}, {b}, {c})")
-        broken = _broken_translation(t, _rows(self.poset.leq))
+        broken = _broken_translation(t, self.poset.rows)
         if broken:
             raise InputError("operation is not order-preserving at indices "
                              "({} <= {}, translate by {})".format(*broken))
@@ -401,7 +442,7 @@ def _broken_translation(t, rel):
 
 def is_strict_pomonoid(m: FinitePomonoid) -> bool:
     """Both-sided strict translation: s < s' forces s*t < s'*t and t*s < t*s'."""
-    return _broken_translation(m.cayley, _strict_rows(m.poset.leq)) is None
+    return _broken_translation(m.cayley, _strict(m.poset.rows)) is None
 
 
 def embed_finite_pomonoid(m: FinitePomonoid):

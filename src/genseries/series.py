@@ -23,6 +23,18 @@ points ``render`` shows (outside a support every coefficient is zero).
 the expression parser raises a run of one repeated factor to its length
 this way.
 
+A finite series keeps its table on the monoid's keys over a scale
+(``Monoid.lift_table``), as a ring keeps value lists lifted: on the
+rational grid the key i over n stands for T^(i/n), so a finite Puiseux
+series is a Laurent polynomial in T^(1/n), and its products and sums run
+on integers over the lcm of their scales (``join_tables``).  Keys are
+lifted where a table is built from elements (``from_table``,
+``from_terms``, ``from_function``) and for ``coeff``'s point, and lowered
+to elements (``Fraction``s) only where they are read out: the support,
+``support_elements``, the window (``_window``) and the one junction where
+an infinite series reads a finite table (``_on_elements``).  On every
+other family a key is its element.
+
 Every series records how it was built: a finite table, a leaf function,
 or ``add``/``neg``/``mul`` of other series.  Sums and negations of finite
 series are computed when they are built.  A product of two finite series
@@ -49,9 +61,10 @@ query there sums its divisor pairs; everywhere else fibers come from
 ``Monoid.fiber`` and the ring's own operations.  A list kernel multiplies
 integer lists only.  The ring lifts a value list to integer lists
 (``Ring.lift``), runs the kernel on lifted lists (``Ring.kernel_product``)
-and lowers a product's list to values only to keep them in its memo, so a
-chain of kernel products stays on integers: rationals as numerators over
-one denominator, residues as representatives, matrices as four entry lists.
+and lowers a product's list to values only where a memo reader needs them,
+so a chain of kernel products stays on integers: rationals as numerators
+over one denominator, residues as representatives, matrices as four entry
+lists.
 The Cauchy kernel reads a prefix off one big-integer product (Kronecker
 substitution) and a few points off dot products.  Where a list kernel runs,
 every fiber of a point lies in the prefix below it, so such a product needs
@@ -62,9 +75,11 @@ once and keeps it out of its memo, and any other leaf is read point by
 point.  Any other series (a sum, a negation, a product with a finite table)
 is computed point by point at the prefix's points, and its list is lifted
 off its memo.  A series needed at a point above its prefix computes that
-point alone.  Each series keeps its values in its memo, so repeated queries
-reuse work below the root, and leaves other than the builtins are read only
-at members of their support, once each.
+point alone.  Each series keeps its values in its memo, and a kernel
+product its prefix as the lifted list, so repeated queries reuse work below
+the root; a kernel product's prefix goes into its memo only where the
+query or a parent other than a kernel product reads it.  Leaves other than
+the builtins are read only at members of their support, once each.
 
 Checks run at the boundary, not in the evaluator: ``from_terms`` checks
 every element and coefficient, ``from_function`` admits its support and
@@ -102,32 +117,45 @@ _UNKNOWN = object()  # a least key not worked out yet
 class GenSeries:
     """An element of the generalized power series ring over (monoid, ring)."""
 
-    __slots__ = ("monoid", "ring", "_support", "_memo", "_build", "_low", "_top")
+    __slots__ = ("monoid", "ring", "_support", "_memo", "_build", "_low", "_top", "_scale",
+                 "_lifted")
 
-    def __init__(self, monoid: Monoid, ring: Ring, support, build, memo=None):
+    def __init__(self, monoid: Monoid, ring: Ring, support, build, memo=None, scale=1):
         self.monoid = monoid
         self.ring = ring
-        self._support = support  # None: a finite product's, until first read
-        # a finite series' memo is its whole table, zero values included, once
-        # its build is _TABLE; before, a finite product's holds it up to _top
+        self._support = support  # None: a finite series', until first read
+        # a finite series' memo is its whole table on the monoid's keys over
+        # _scale, zero values included, once its build is _TABLE; before, a
+        # finite product's holds it up to _top
         self._memo = {} if memo is None else memo
         self._build = build
+        self._scale = scale
         # a finite series' least key (None: it has none), worked out when a
         # query needs it on a family with cofactor_top
         self._low = _UNKNOWN
         self._top = None
+        # a kernel product's lifted values over 0..top, as (top, list)
+        self._lifted = None
 
     @property
     def support(self):
-        if self._support is None:  # a finite product: the keys of its whole table
-            self._support = finite(_table(self))
+        if self._support is None:  # a finite series: the keys of its whole table
+            table = _table(self)
+            self._support = finite(self.monoid.lower_keys(table, self._scale))
         return self._support
+
+    def support_elements(self):
+        """A finite series' support in display order; None for an infinite one."""
+        if not _is_finite(self):
+            return None
+        monoid, table = self.monoid, _table(self)
+        return monoid.lower_keys(monoid.window_keys(table, self._scale), self._scale)
 
     # -- observation ---------------------------------------------------------
 
     def coeff(self, m):
         self.monoid.check_element(m)
-        if self._support is None:
+        if _is_finite(self):
             return _fill(self, m)
         return _evaluate(self, (m,))[0]
 
@@ -150,10 +178,12 @@ class GenSeries:
         _check_compatible(self, other)
         monoid, ring = self.monoid, self.ring
         if _is_finite(self) and _is_finite(other):
-            table = dict(_table(self))
-            for m, c in _table(other).items():
+            f, g, scale = monoid.join_tables(_table(self), self._scale,
+                                             _table(other), other._scale)
+            table = dict(f)
+            for m, c in g.items():
                 table[m] = ring.add(table[m], c) if m in table else c
-            return from_table(monoid, ring, table)
+            return GenSeries(monoid, ring, None, _TABLE, table, scale)
         return GenSeries(monoid, ring, monoid.tail_union_bound(self.support, other.support),
                          ("add", self, other))
 
@@ -161,7 +191,7 @@ class GenSeries:
         ring = self.ring
         if _is_finite(self):
             table = {m: ring.neg(c) for m, c in _table(self).items()}
-            return GenSeries(self.monoid, ring, self._support, _TABLE, table)
+            return GenSeries(self.monoid, ring, self._support, _TABLE, table, self._scale)
         return GenSeries(self.monoid, ring, self.support, ("neg", self))
 
     def sub(self, other: "GenSeries") -> "GenSeries":
@@ -191,13 +221,12 @@ class GenSeries:
     def window_coeffs(self, region: int) -> dict:
         """{m: coefficient} for every support element in the window, in
         display order."""
-        elements = self.monoid.enumerate_admitted(self.support, region)
-        return dict(zip(elements, _evaluate(self, elements)))
+        return dict(zip(*_window(self, region)))
 
     def terms_on(self, region: int) -> list:
         """Nonzero (element, coefficient) pairs on the support window."""
         is_zero = self.ring.is_zero
-        return [(m, c) for m, c in self.window_coeffs(region).items() if not is_zero(c)]
+        return [(m, c) for m, c in zip(*_window(self, region)) if not is_zero(c)]
 
     def render(self, region: int) -> str:
         return self.format_terms(self.terms_on(region))
@@ -249,10 +278,22 @@ def _is_finite(series: GenSeries) -> bool:
 
 
 def _table(series: GenSeries) -> dict:
-    """A finite series' whole table."""
+    """A finite series' whole table, on keys over its ``_scale``."""
     if series._build is not _TABLE:
         _complete(series)
     return series._memo
+
+
+def _window(series: GenSeries, region: int):
+    """The support elements in the window, in display order, and their
+    coefficients: a finite table's keys are listed and then lowered."""
+    monoid = series.monoid
+    if _is_finite(series):
+        table, scale = _table(series), series._scale
+        keys = monoid.window_keys(table, scale, region)
+        return monoid.lower_keys(keys, scale), [table[k] for k in keys]
+    elements = monoid.enumerate_admitted(series.support, region)
+    return elements, _evaluate(series, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +319,9 @@ def _post_order(root: GenSeries) -> list:
 
 
 def _fill(root: GenSeries, m):
-    """root's coefficient at m, for a finite product whose support is not
-    published: its memo is filled with its table up to m, or on a family
-    without ``cofactor_top`` the whole table is built.
+    """root's coefficient at m, for a finite series: a table is read at m's
+    key, and a finite product's memo is filled with its table up to m, or on
+    a family without ``cofactor_top`` the whole table is built.
 
     Operands first, each product's least key is worked out once: the
     product of its factors' least keys.  Then, parents first, each product
@@ -293,7 +334,8 @@ def _fill(root: GenSeries, m):
     monoid, ring = root.monoid, root.ring
     cofactor_top, product = monoid.cofactor_top, monoid.product
     if cofactor_top is None or root._build is _TABLE:
-        return _table(root).get(m, ring.zero)
+        table = _table(root)
+        return table.get(monoid.lift_key(m, root._scale), ring.zero)
     if root._top is not None and m <= root._top:  # filled that far already
         return root._memo.get(m, ring.zero)
     order = []  # the products not yet built, with their factors, operands first
@@ -351,13 +393,15 @@ def _least(series: GenSeries):
 def _complete(root: GenSeries):
     """Build the whole tables of root, a finite product, and of the finite
     products below it not yet built, in ``_post_order`` (operands first, a
-    shared one once): each is ``_convolve`` of its operands' tables, as if
-    built when multiplied.  A memo holds the whole table before its build
-    reads _TABLE, and a support is published only after that, from the
-    keys."""
+    shared one once): each is ``_convolve`` of its operands' tables, moved
+    onto one scale, as if built when multiplied.  A memo holds the whole
+    table before its build reads _TABLE, and a support is published only
+    after that, from the keys."""
     for node in _post_order(root):
         _, f, g = node._build
-        node._memo = _convolve(node.monoid, node.ring, f._memo, g._memo)
+        monoid = node.monoid
+        fs, gs, node._scale = monoid.join_tables(f._memo, f._scale, g._memo, g._scale)
+        node._memo = _convolve(monoid, node.ring, fs, gs)
         node._build = _TABLE  # the operands are no longer needed
 
 
@@ -370,9 +414,11 @@ def _evaluate(root: GenSeries, points) -> list:
     is a set of points -- members of the support that the memo lacks -- and,
     for a leaf or a product of two infinite series that the monoid's list
     kernel runs, a prefix unit..top as well, computed as one lifted list
-    indexed by element (zero below the unit).  Such a product drops the
-    points its prefix holds, and a memo that holds its whole prefix is
-    lifted; a leaf computes its points on their own.  A
+    indexed by element (zero below the unit).  Such a product reads the
+    prefix it kept from an earlier walk, or lifts a memo that holds it, or
+    else computes it and keeps it lifted; it lowers the prefix into its memo
+    only when its demand has points there, which it then drops.  A leaf
+    computes its points on their own.  A
     kernel product needs its factors up to its last point: a leaf or another
     kernel product on that prefix, any other series at each of the prefix's
     points, whose list the kernel then reads off its memo.  A sum or a
@@ -405,17 +451,22 @@ def _evaluate(root: GenSeries, points) -> list:
         and not (_is_finite(node._build[1]) or _is_finite(node._build[2]))}
     plans = {}  # other product -> the fibers {m: pairs} of its points
     lists = {}  # leaf or kernel product -> its lifted values over 0..its top, or further
+    lowered = set()  # kernel products whose prefix holds points their memo lacks
     for node in reversed(order):  # parents first, so each demand is whole when passed on
         wanted, top = need.get(node), tops.get(node)
         op, *operands = node._build
         if op == "leaf":
             continue
         if top is not None:
-            if wanted:
+            if wanted and min(wanted) <= top:
+                lowered.add(node)
                 wanted = need[node] = {m for m in wanted if m > top}
-            memo = node._memo
-            if memo and all(m in memo for m in range(unit, top + 1)):
+            memo, kept = node._memo, node._lifted
+            if kept is not None and kept[0] >= top and node not in lowered:
+                lists[node] = kept[1]
+            elif memo and all(m in memo for m in range(unit, top + 1)):
                 lists[node] = ring.lift([zero] * unit + [memo[m] for m in range(unit, top + 1)])
+            if node in lists:
                 del tops[node]
                 top = None
         if not wanted and top is None:
@@ -465,19 +516,21 @@ def _evaluate(root: GenSeries, points) -> list:
             n = (max(wanted) if wanted else top) + 1
             f = column(operands[0], n)
             g = f if operands[1] is operands[0] else column(operands[1], n)
-            if top is not None:
+            if top is not None:  # kept lifted; lowered only where a memo reader needs it
                 values = lists[node] = ring.kernel_product(kernel, f, g, range(top + 1))
-                memo.update(zip(range(unit, top + 1), ring.lower(values)[unit:]))
+                node._lifted = (top, values)
+                if node in lowered:
+                    memo.update(zip(range(unit, top + 1), ring.lower(values)[unit:]))
             if wanted:
                 ks = list(wanted)
                 memo.update(zip(ks, ring.lower(ring.kernel_product(kernel, f, g, ks))))
             continue
-        fv = operands[0]._memo
+        fv = _on_elements(operands[0])
         if op == "neg":
             for m in wanted:
                 memo[m] = ring.neg(fv[m])
             continue
-        gv = operands[1]._memo
+        gv = _on_elements(operands[1])
         if op == "add":
             for m in wanted:
                 memo[m] = ring.add(fv.get(m, zero), gv.get(m, zero))
@@ -492,10 +545,20 @@ def _evaluate(root: GenSeries, points) -> list:
     return [memo.get(m, zero) for m in points]
 
 
+def _on_elements(series: GenSeries) -> dict:
+    """series' memo on elements: the one place where an infinite series reads
+    a finite table.  Over the scale 1 a key is its element."""
+    memo, scale = series._memo, series._scale
+    if scale == 1:
+        return memo
+    return dict(zip(series.monoid.lower_keys(memo, scale), memo.values()))
+
+
 def _convolve(monoid: Monoid, ring: Ring, f: dict, g: dict) -> dict:
-    """Exact product of two finite tables; undefined monoid products drop out."""
+    """Exact product of two finite tables on keys over one scale; undefined
+    monoid products drop out."""
     out = {}
-    product = monoid.product  # table keys were checked when the tables were built
+    product = monoid.key_product  # table keys were checked when the tables were built
     add, mul = ring.add, ring.mul
     for x, a in f.items():
         for y, b in g.items():
@@ -526,8 +589,10 @@ def from_terms(monoid: Monoid, ring: Ring, terms) -> GenSeries:
 
 
 def from_table(monoid: Monoid, ring: Ring, table: dict) -> GenSeries:
-    """A finite series on a checked table; zero values stay, as in a convolution."""
-    return GenSeries(monoid, ring, finite(table), _TABLE, table)
+    """A finite series on a checked table of elements; zero values stay, as in
+    a convolution.  Its keys are lifted here, once, and its support is read
+    off them when first asked for."""
+    return GenSeries(monoid, ring, None, _TABLE, *monoid.lift_table(table))
 
 
 def zero_series(monoid: Monoid, ring: Ring) -> GenSeries:
@@ -547,7 +612,7 @@ def from_function(monoid: Monoid, ring: Ring, support, fn) -> GenSeries:
     monoid.require_admitted(support)
     if isinstance(support, FiniteSet):
         table = {m: fn(m) for m in support.elements}
-        return GenSeries(monoid, ring, support, _TABLE, table)
+        return GenSeries(monoid, ring, support, _TABLE, *monoid.lift_table(table))
     return GenSeries(monoid, ring, support, ("leaf", fn, None))
 
 

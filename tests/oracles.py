@@ -55,6 +55,27 @@ def geometric_power_coeff(power: int, degree: int) -> int:
     return acc.get(degree, 0)
 
 
+def grid_product(f: dict, g: dict, add, mul) -> dict:
+    """The product of two Puiseux polynomials given as {exponent: coefficient}
+    with exponents that ``Fraction`` reads, every pair of terms crossed; an
+    exponent whose terms cancel stays, with a zero."""
+    out = {}
+    for a, x in f.items():
+        for b, y in g.items():
+            e = Fraction(a) + Fraction(b)
+            out[e] = add(out[e], mul(x, y)) if e in out else mul(x, y)
+    return out
+
+
+def grid_sum(f: dict, g: dict, add) -> dict:
+    """The sum of two Puiseux polynomials, a cancelled exponent kept with a zero."""
+    out = {Fraction(e): c for e, c in f.items()}
+    for e, c in g.items():
+        e = Fraction(e)
+        out[e] = add(out[e], c) if e in out else c
+    return out
+
+
 def brute_longest_chain_len(elements, le) -> int:
     best = 0
     elements = list(elements)

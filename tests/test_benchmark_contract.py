@@ -1,15 +1,20 @@
 """The benchmark's contract with this code: an untraced and a traced pass
 of each workload and the known-defect probe, run through
 ``benchmarks/run.py``'s own helpers, end with a JSON line in which every
-operation is ``ok``; the traced passes read every per-layer metric; and
-the CLI cold start that ``setup_s`` times runs."""
+operation is ``ok``; the traced passes read every per-layer metric; the CLI cold start that
+``setup_s`` times runs; and a whole ``run.py`` run, untraced and traced,
+ends with a correct result line naming every metric of BENCHMARK.json."""
 
 import importlib.util
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-RUN = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "run.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RUN = ROOT / "benchmarks" / "run.py"
 
 
 @pytest.fixture(scope="module")
@@ -47,3 +52,17 @@ def test_traced_pass_reads_every_layer(run, workload):
         assert report["layers"]["finspace.cones"] > 0
         assert report["layers"]["posets.longest_chain.self_s"] > 0
         assert report["layers"]["posets.largest_antichain.self_s"] > 0
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_a_whole_run_ends_with_its_result_line(trace):
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", "window-render", "--seed", "7",
+         "--seconds", "1", "--trace", trace],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in declared["per_layer" if trace == "1" else "end_to_end"]]
+    assert [name for name in names if name not in result["metrics"]] == []

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,9 @@ from genseries import (ALL, FinitePomonoid, FinitePoset, GridTail, InputError,
                        longest_chain, poset_violations)
 from genseries.catalog import FreeWords, IntDiscrete, PosNatMulUsual
 from genseries.errors import DescriptorError
+
+from genseries import posets
+from genseries.cli import main
 
 import oracles
 import poset_oracle
@@ -161,6 +166,54 @@ def test_largest_antichain_size_agrees_with_brute_force(p):
 def test_violations_agree_with_the_matrix_loops(leq):
     labels = list(range(len(leq)))
     assert poset_violations(labels, leq) == poset_oracle.poset_violations(labels, leq)
+
+
+def layers(width, depth):
+    """depth layers of width elements, each layer below the next but the
+    relation not closed under transitivity: (depth - 2) * width**3 triples
+    and more break it."""
+    n = width * depth
+    return [[i == j or j // width == i // width + 1 for j in range(n)] for i in range(n)]
+
+
+def test_violations_past_the_cap_are_counted_not_listed():
+    leq = layers(20, 3)
+    labels = list(range(len(leq)))
+    every = poset_oracle.poset_violations(labels, leq)
+    assert len(every) == 8000
+    got = poset_violations(labels, leq)
+    assert got[:1000] == every[:1000]
+    assert got[1000:] == ["... and 7000 more violations"]
+    with pytest.raises(InputError) as info:
+        FinitePoset.build(labels, leq)
+    assert str(info.value).count(";") == 1000
+
+
+def test_validate_prints_a_bounded_report_of_a_large_relation(capsys):
+    leq = layers(80, 3)  # 512,000 broken triples
+    poset = json.dumps({"elements": list(range(240)), "leq": leq})
+    assert main(["poset", "--operation", "validate", "--format", "json", "--poset", poset]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert not report["valid"] and len(report["violations"]) == 1001
+    assert report["violations"][-1] == "... and 511000 more violations"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=9).flatmap(
+    lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_the_violation_count_is_the_number_of_messages(leq):
+    rows = posets._rows(leq)
+    labels = list(range(len(leq)))
+    assert posets._violation_count(rows) == len(list(posets._each_violation(labels, rows)))
+
+
+def test_a_poset_keeps_the_rows_its_checks_built(monkeypatch):
+    p, m = divisor_poset(12), zmod_discrete(3)
+    assert p.rows == tuple(sum(1 << j for j, v in enumerate(row) if v) for row in p.leq)
+    built = []
+    monkeypatch.setattr(posets, "_rows", lambda leq: built.append(leq))
+    longest_chain(p), largest_antichain(p), is_strict_pomonoid(m)
+    assert built == []
 
 
 def test_increasing_subsequence_examples():

@@ -490,6 +490,35 @@ def test_prefix_pass_reads_each_leaf_point_once_and_reuses_the_memos():
     assert reads == []
 
 
+def test_a_repeated_query_reads_the_kept_prefix_and_lowers_only_the_roots_points(
+        monkeypatch):
+    Q = RationalRing()
+    products, lowered = [], []
+    kernel_product, lower = RationalRing.kernel_product, RationalRing.lower
+    monkeypatch.setattr(RationalRing, "kernel_product", lambda self, kernel, f, g, ks: (
+        products.append(len(ks)), kernel_product(self, kernel, f, g, ks))[1])
+    monkeypatch.setattr(RationalRing, "lower", lambda self, lifted: (
+        lowered.append(len(lifted[0])), lower(self, lifted))[1])
+    series = eval_expression("geometric * geometric * geometric", nat(), Q, 150)
+    inner = series._build[2]  # geometric * geometric, read only by the root's kernel
+    assert series.coeff(150) == comb(152, 2)
+    assert products == [151, 1] and lowered == [1] and inner._memo == {}
+    products.clear(), lowered.clear()
+    assert series.coeff(75) == comb(77, 2)  # the root's point off the kept prefix
+    assert products == [1] and lowered == [1]
+    products.clear()
+    assert series.window_coeffs(150) == {m: comb(m + 2, 2) for m in range(151)}
+    assert products == [149] and inner._memo == {}
+    products.clear()
+    assert [series.coeff(m) for m in (150, 75, 3)] == [comb(152, 2), comb(77, 2), 10]
+    assert series.window_coeffs(150) == {m: comb(m + 2, 2) for m in range(151)}
+    assert products == []  # memo reads
+    cube = eval_expression("zeta * zeta * zeta", posnat_mul(), Q, 60)
+    want = {n: oracles.ordered_factorizations(n, 3) for n in range(1, 61)}
+    assert cube.window_coeffs(60) == want and cube.window_coeffs(60) == want
+    assert cube._build[2]._memo == {}
+
+
 @pytest.mark.parametrize("table_first", [True, False])
 def test_a_product_whose_prefix_another_pass_filled_is_read(table_first):
     R = IntRing()
@@ -616,11 +645,19 @@ def eager_product(monoid, ring, tables):
     return reduce(lambda f, g: _convolve(monoid, ring, f, g), tables)
 
 
+def table_of(series):
+    """A finite series' table on elements: on the rational grid its key k
+    over the scale n stands for k/n, elsewhere a key is its element."""
+    if series.monoid.carrier.name != "rational-grid":
+        return series._memo
+    return {Fraction(k, series._scale): c for k, c in series._memo.items()}
+
+
 def assert_same_table(series, eager):
     """series' whole table is eager's, key for key and in order, zero
     entries included, and its support is eager's keys."""
     assert series.support == finite(eager)
-    table = series._memo
+    table = table_of(series)
     assert list(table) == list(eager)
     assert all(series.ring.eq(table[m], eager[m]) for m in eager)
 
@@ -695,7 +732,7 @@ def test_a_query_builds_a_finite_product_whole_without_cofactor_top(monoid, ring
     pool = element_pool(monoid)
     factors = [from_terms(monoid, ring, list(zip(rng.sample(pool, 3), ring_samples(ring, rng, 3))))
                for _ in range(4)]
-    tables = [f._memo for f in factors]
+    tables = [table_of(f) for f in factors]
     want, eager = brute_product(monoid, ring, tables), eager_product(monoid, ring, tables)
     series = reduce(operator.mul, factors)
     assert series._build[0] == "finite-mul"
@@ -703,6 +740,83 @@ def test_a_query_builds_a_finite_product_whole_without_cofactor_top(monoid, ring
         assert ring.eq(series.coeff(m), want.get(m, ring.zero))
     assert series._build == ("table",)  # the first query built it whole
     assert_same_table(series, eager)
+
+
+# ---------------------------------------------------------------------------
+# rational-grid tables on integer keys over one scale, against Fraction keys
+
+
+GRID_EXPONENTS = st.one_of(st.integers(-3, 3),
+                           st.builds(Fraction, st.integers(-36, 36), st.integers(1, 12)))
+GRID_TABLES = st.dictionaries(GRID_EXPONENTS, st.sampled_from([-2, -1, 1, 2]), max_size=4)
+# off the grid of every denominator up to 12, and 2/4 (read as 1/2) and ints
+GRID_POINTS = [Fraction(1, 9973), Fraction(-5, 13), Fraction(2, 4), 0, 1, -2]
+
+
+def grid_leaf(ring, table):
+    return from_terms(rational_grid(), ring, [(e, ring.from_int(c)) for e, c in table.items()])
+
+
+def assert_grid_series(series, want, ring, coeff_first):
+    """series against its Fraction-keyed table: single coefficients (first,
+    while a product is unbuilt, or last), support, windows and terms."""
+    order = sorted(want)
+
+    def coefficients():
+        for e in order + GRID_POINTS:
+            assert ring.eq(series.coeff(e), want.get(e, ring.zero)), e
+    if coeff_first:
+        coefficients()
+    assert series.support == finite(want)
+    assert series.support_elements() == order
+    for region in (0, 1, 2, 5):
+        shown = [e for e in order if -region <= e <= region]
+        got = series.window_coeffs(region)
+        assert list(got) == shown and all(type(e) is Fraction for e in got)
+        assert all(ring.eq(got[e], want[e]) for e in shown)
+        assert [e for e, _ in series.terms_on(region)] == [
+            e for e in shown if not ring.is_zero(want[e])]
+    coefficients()
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=repr)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(first=GRID_TABLES, coeff_first=st.booleans(), steps=st.lists(
+    st.tuples(st.sampled_from(["mul", "mul", "add", "sub"]), GRID_TABLES), min_size=1, max_size=3))
+def test_grid_tables_on_integer_keys_match_fraction_keys(ring, first, coeff_first, steps):
+    def values(table):
+        return {e: ring.from_int(c) for e, c in table.items()}
+
+    series, want = grid_leaf(ring, first), oracles.grid_sum({}, values(first), ring.add)
+    for op, table in steps:
+        other = values(table)
+        if op == "mul":
+            series, want = series * grid_leaf(ring, table), oracles.grid_product(
+                want, other, ring.add, ring.mul)
+        elif op == "add":
+            series, want = series + grid_leaf(ring, table), oracles.grid_sum(
+                want, other, ring.add)
+        else:
+            series, want = series - grid_leaf(ring, table), oracles.grid_sum(
+                want, {e: ring.neg(c) for e, c in other.items()}, ring.add)
+    assert_grid_series(series, want, ring, coeff_first)
+
+
+@pytest.mark.parametrize("coeff_first", [True, False])
+def test_grid_products_over_twelve_denominators_keep_cancelled_keys(coeff_first):
+    R = IntRing()
+    factors = [{Fraction(1, q): 1, Fraction(-1, q): 2} for q in range(1, 13)]
+    series, want = grid_leaf(R, factors[0]), oracles.grid_sum({}, factors[0], R.add)
+    for table in factors[1:]:
+        series, want = series * grid_leaf(R, table), oracles.grid_product(
+            want, table, R.add, R.mul)
+    assert_grid_series(series, want, R, coeff_first)
+    # (T^(1/2) + T^(1/3)) * (T^(1/2) - T^(1/3)): the two T^(5/6) terms cancel
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    square = grid_leaf(R, {half: 1, third: 1}) * grid_leaf(R, {half: 1, third: -1})
+    assert square.window_coeffs(1) == {Fraction(2, 3): -1, Fraction(5, 6): 0, Fraction(1): 1}
+    assert square.terms_on(1) == [(Fraction(2, 3), -1), (Fraction(1), 1)]
+    assert Fraction(5, 6) in square.support
 
 
 def test_a_query_into_a_sparse_product_computes_no_key_above_its_bound(monkeypatch):
