@@ -20,6 +20,12 @@ returns exactly that -- so this module plays two roles:
 Composition is partial-function composition; the empty partial function
 is the zero morphism because the empty space is a zero object.
 
+Spaces and systems are immutable, so ``tensor``, ``internal_hom`` and the
+forced structure (``full_system``, which ``perp`` returns) are built once
+per argument per process.  Only values the library builds itself skip
+``PartialFn``'s checks; what a caller hands in (``PartialFn(...)``,
+``uncurry``, the JSON codecs) is checked.
+
 A note on the total-function variant: if morphisms are required to be
 total, the category loses its terminal object once some finitary set is
 infinite (the constant map onto a point has the whole carrier as a
@@ -40,10 +46,6 @@ from .errors import InputError, SizeBoundError
 
 _SYSTEM_CAP = 16  # 2^|X| family enumeration guard
 _FN_CAP = 4096  # (|Y|+1)^|X| partial-function enumeration guard
-
-
-def _key(x):
-    return repr(x)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +69,7 @@ def space(labels) -> FinSpace:
     labels = list(labels)
     if len(set(labels)) != len(labels):
         raise InputError("space carrier has duplicate labels")
-    return FinSpace(tuple(sorted(labels, key=_key)))
+    return FinSpace(tuple(sorted(labels, key=repr)))
 
 
 @dataclass(frozen=True)
@@ -85,14 +87,19 @@ class SetSystem:
 
 
 def system(labels, family) -> SetSystem:
-    labels = sorted(set(labels), key=_key)
+    labels = sorted(set(labels), key=repr)
     # each member by its sorted label keys: independent of the hash seed
-    fam = sorted({frozenset(u) for u in family}, key=lambda u: sorted(map(_key, u)))
+    fam = sorted({frozenset(u) for u in family}, key=lambda u: sorted(map(repr, u)))
     return SetSystem(tuple(labels), tuple(fam))
 
 
 def full_system(labels) -> SetSystem:
     """The forced finiteness structure on a finite carrier: all subsets."""
+    return _full_system(tuple(labels))
+
+
+@functools.cache
+def _full_system(labels: tuple) -> SetSystem:
     return system(labels, subsets(labels))
 
 
@@ -167,7 +174,7 @@ class PartialFn:
         return hash(self._id)
 
     def __repr__(self):
-        items = ", ".join(f"{x!r}→{y!r}" for x, y in sorted(self._map.items(), key=_key))
+        items = ", ".join(f"{x!r}→{y!r}" for x, y in sorted(self._map.items(), key=repr))
         return f"PartialFn{{{items}}}"
 
 
@@ -226,6 +233,7 @@ def is_morphism(f: PartialFn, dom_system: SetSystem | None = None,
 # tensor structure
 
 
+@functools.cache
 def tensor(a: FinSpace, b: FinSpace) -> FinSpace:
     return space(itertools.product(a.carrier, b.carrier))
 
@@ -340,7 +348,7 @@ def coequalizer(f: PartialFn, g: PartialFn) -> tuple[FinSpace, PartialFn]:
     for y in carrier:
         classes.setdefault(find(y), []).append(y)
     # class labels as sorted tuples keep output deterministic
-    label_of = {root: tuple(sorted(members, key=_key))
+    label_of = {root: tuple(sorted(members, key=repr))
                 for root, members in classes.items()}
 
     one_sided = {label_of[find(f(x))] for x in dom_f - dom_g}
@@ -362,15 +370,14 @@ def _require_parallel(f: PartialFn, g: PartialFn):
 
 
 def _graph_label(mapping) -> tuple:
-    return tuple(sorted(mapping.items(), key=_key))
+    return tuple(sorted(mapping.items(), key=repr))
 
 
 @functools.cache
 def internal_hom(x: FinSpace, y: FinSpace) -> FinSpace:
     """The space of nonempty partial functions x -> y.
 
-    The carrier has (|y|+1)^|x| - 1 points, under ``all_partial_fns``'s
-    guard.  Spaces are immutable, so it is built once per process.
+    The carrier has (|y|+1)^|x| - 1 points, under ``all_partial_fns``'s guard.
     """
     labels = [_graph_label(h.mapping) for h in all_partial_fns(x, y) if not h.is_empty()]
     return space(labels)
@@ -413,13 +420,13 @@ def curry(g: PartialFn, z: FinSpace, x: FinSpace, y: FinSpace) -> PartialFn:
     """
     if g.dom != tensor(z, x) or g.cod != y:
         raise InputError("curry expects a morphism from the tensor of z and x into y")
-    hom = internal_hom(x, y)
-    mapping = {}
+    values = []
     for zz in z.carrier:
-        section = {xx: g((zz, xx)) for xx in x.carrier if g((zz, xx)) is not None}
-        if section:
-            mapping[zz] = _graph_label(section)
-    return PartialFn(z, hom, mapping)
+        section = {xx: yy for xx in x.carrier if (yy := g((zz, xx))) is not None}
+        values.append(_graph_label(section) if section else None)
+    # each label is the graph of a nonempty partial function x -> y, so a
+    # point of internal_hom(x, y): no need for PartialFn's checks
+    return PartialFn._from_values(z, internal_hom(x, y), tuple(values))
 
 
 def uncurry(h: PartialFn, z: FinSpace, x: FinSpace, y: FinSpace) -> PartialFn:
@@ -434,8 +441,9 @@ def uncurry(h: PartialFn, z: FinSpace, x: FinSpace, y: FinSpace) -> PartialFn:
 # universal-property verification
 
 
-def _mediators(dom: FinSpace, cod: FinSpace, check, limit=2) -> list[PartialFn]:
-    """The mediators dom -> cod that check allows, at most `limit` of them.
+def _mediators(dom: FinSpace, cod: FinSpace, check, limit=2) -> list[tuple]:
+    """The mediators dom -> cod that check allows, at most `limit` of them,
+    each as its values on dom.carrier (PartialFn._from_values).
 
     check(x) lists the values in (None,) + cod.carrier that a mediator may
     take at x; None is undefinedness.  Composition of partial functions is
@@ -452,8 +460,7 @@ def _mediators(dom: FinSpace, cod: FinSpace, check, limit=2) -> list[PartialFn]:
     if None not in check(None):
         return []
     allowed = [check(x) for x in dom.carrier]
-    return [PartialFn._from_values(dom, cod, values)
-            for values in itertools.islice(itertools.product(*allowed), limit)]
+    return list(itertools.islice(itertools.product(*allowed), limit))
 
 
 def _post_check(cod: FinSpace, legs):
@@ -467,29 +474,33 @@ def _post_check(cod: FinSpace, legs):
         table.setdefault(tuple(leg(v) for leg in legs), []).append(v)
 
     def for_cones(cones):
-        return lambda z: table.get(tuple(cone(z) for cone in cones), [])
+        return lambda z: table.get(tuple([cone(z) for cone in cones]), [])
     return for_cones
 
 
 def _pre_check(cod: FinSpace, arrows):
     """For fixed arrows, cocones -> a check for _mediators allowing k with
-    k . arrow == cocone for every (arrow, cocone).  Each arrow's preimages
-    are tabulated once, None collecting the sources it leaves undefined;
-    at c the cocones' values on them allow every value if there are none,
-    that value if they agree, and nothing otherwise."""
+    k . arrow == cocone for every (arrow, cocone).  The sources of each c
+    are tabulated once as (arrow index, point), None collecting those an
+    arrow leaves undefined; at c the cocones' values on them allow every
+    value if there are none, that value if they agree, and nothing
+    otherwise."""
     everything = [None, *cod.carrier]
-    preimages = [{} for _ in arrows]
-    for pre, arrow in zip(preimages, arrows):
+    sources = {}
+    for i, arrow in enumerate(arrows):
         for x in arrow.dom.carrier:
-            pre.setdefault(arrow(x), []).append(x)
+            sources.setdefault(arrow(x), []).append((i, x))
 
     def for_cocones(cocones):
         def check(c):
-            wanted = {cocone(x) for pre, cocone in zip(preimages, cocones)
-                      for x in pre.get(c, ())}
-            if len(wanted) > 1:
-                return []
-            return list(wanted) or everything
+            allowed = everything
+            for i, x in sources.get(c, ()):
+                value = cocones[i](x)
+                if allowed is everything:
+                    allowed = [value]
+                elif allowed[0] != value:
+                    return []
+            return allowed
         return check
     return for_cocones
 

@@ -294,6 +294,27 @@ def test_tensor_is_cartesian_with_singleton_unit():
     assert len(tensor(i, a)) == len(a)
 
 
+def test_built_once_structures_are_the_plain_values():
+    """tensor and full_system are kept per argument: each is what its
+    definition builds, however the labels arrive, and the size guards
+    still refuse on every call."""
+    for a, b in itertools.product(small_spaces([1, "b", (0, "c")]), repeat=2):
+        for _ in range(2):
+            assert tensor(a, b) == space(itertools.product(a.carrier, b.carrier))
+    labels = ["b", 1, "a"]
+    built = finspace.system(labels, finspace.subsets(labels))
+    for given in (labels, tuple(labels), iter(labels), labels):
+        assert finspace.full_system(given) == built
+    many = [f"e{i}" for i in range(17)]
+    for _ in range(2):
+        with pytest.raises(SizeBoundError):
+            finspace.subsets(many)
+        with pytest.raises(SizeBoundError):
+            finspace.full_system(many)
+        with pytest.raises(SizeBoundError):
+            internal_hom(space(list("abcdefg")), space(list("pqrstuv")))
+
+
 def test_tensor_coherence_isos_are_bijective_morphisms():
     a, b, c = space(["a1", "a2"]), space(["b"]), space(["c1", "c2"])
     al = associator(a, b, c)
@@ -391,6 +412,42 @@ def test_curry_uncurry_bijection_counts():
         assert len(raws) == (len(y) + 1) ** (len(z) * len(x))
         assert len(list(all_partial_fns(z, hom))) == (len(hom) + 1) ** len(z)
         assert (len(y) + 1) ** (len(z) * len(x)) == (len(hom) + 1) ** len(z)
+
+
+def checked_fingerprint(fn):
+    return fn, hash(fn), fn.mapping, repr(fn)
+
+
+def test_curry_and_uncurry_are_the_checked_construction():
+    """curry builds its result unchecked: each transpose up to 2 points, of a
+    g given its graph in reverse, equals PartialFn(...) of the sections'
+    sorted graphs, and uncurry gives back PartialFn(...) of g's graph."""
+    for z, x, y in itertools.product(small_spaces(["z", 0]), small_spaces([1, "b"]),
+                                     small_spaces(["y", 2])):
+        hom = internal_hom(x, y)
+        for raw in all_partial_fns(tensor(z, x), y):
+            g = PartialFn(raw.dom, y, dict(reversed(raw.mapping.items())))
+            sections = {zz: {xx: yy for (zg, xx), yy in g.mapping.items() if zg == zz}
+                        for zz in z.carrier}
+            expected = PartialFn(z, hom, {zz: tuple(sorted(s.items(), key=repr))
+                                          for zz, s in sections.items() if s})
+            h = curry(g, z, x, y)
+            assert checked_fingerprint(h) == checked_fingerprint(expected)
+            assert (checked_fingerprint(uncurry(h, z, x, y))
+                    == checked_fingerprint(PartialFn(tensor(z, x), y, g.mapping)))
+
+
+def test_curry_and_uncurry_refuse_what_they_cannot_transpose():
+    z, x, y = space(["z"]), space(["x"]), space(["y"])
+    g = PartialFn(tensor(z, x), y, {("z", "x"): "y"})
+    with pytest.raises(InputError):
+        curry(g, z, space(["x", "w"]), y)
+    with pytest.raises(InputError):
+        curry(g, z, x, space(["y", "w"]))
+    wide = space(["y", "w"])
+    h = PartialFn(z, internal_hom(x, wide), {"z": (("x", "w"),)})
+    with pytest.raises(InputError, match="'w' is not in the codomain"):
+        uncurry(h, z, x, y)
 
 
 def test_hom_family_conditions_on_restricted_systems():
