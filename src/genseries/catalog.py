@@ -23,55 +23,56 @@ check, and the series evaluator asks ``in`` of points it has checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CarrierError, DescriptorError, InputError
+from .values import Value
 
 # ---------------------------------------------------------------------------
 # support descriptors
 
 
-@dataclass(frozen=True)
-class FiniteSet:
+class FiniteSet(Value):
     elements: frozenset
+
+    def __init__(self, elements):
+        self._store(elements)
 
     def __contains__(self, x):
         return x in self.elements
 
 
-@dataclass(frozen=True)
-class All:
+class All(Value):
     def __contains__(self, x):
         return True
 
 
-@dataclass(frozen=True)
-class GridTail:
+class GridTail(Value):
     """The set {i/n : i integer, i >= a} on the fixed denominator grid n."""
 
     a: int
     n: int
 
-    def __post_init__(self):
-        if not _is_int(self.a) or not _is_int(self.n) or self.n < 1:
+    def __init__(self, a, n):
+        if not _is_int(a) or not _is_int(n) or n < 1:
             raise DescriptorError("grid tail needs integer offset and denominator >= 1")
+        self._store(a, n)
 
     def __contains__(self, x):
         scaled = Fraction(x) * self.n
         return scaled.denominator == 1 and scaled.numerator >= self.a
 
 
-@dataclass(frozen=True)
-class TailGE:
+class TailGE(Value):
     """The set of integers {i : i >= a}."""
 
     a: int
     n = 1  # the grid of 1: GridTail(a, 1) on the integers; not a field
 
-    def __post_init__(self):
-        if not _is_int(self.a):
+    def __init__(self, a):
+        if not _is_int(a):
             raise DescriptorError("integer tail needs an integer offset")
+        self._store(a)
 
     def __contains__(self, x):
         return x >= self.a
@@ -95,10 +96,10 @@ def _is_int(x) -> bool:
 # carriers
 
 
-class Carrier:
+class Carrier(Value):
     """Base class for catalog carriers.
 
-    Concrete variants are frozen dataclasses so carriers compare by value.
+    Carriers are values (:mod:`genseries.values`), so they compare by value.
     A carrier holds its elements and ``leq``, its partial order, used for
     subsequence extraction and display.  Variants that differ only in their
     order share elements through a private base.  The unit, product, windows
@@ -133,9 +134,6 @@ class Carrier:
             raise InputError(f"{obj!r} is not a valid {self.name} element")
         return obj
 
-    def __repr__(self):
-        return self.name
-
 
 def _exp_text(e) -> str:
     s = str(e)
@@ -151,7 +149,6 @@ class _Nat(Carrier):
         return _is_int(x) and x >= 0
 
 
-@dataclass(frozen=True)
 class NatUsual(_Nat):
     name = "nat"
 
@@ -159,7 +156,6 @@ class NatUsual(_Nat):
         return a <= b
 
 
-@dataclass(frozen=True)
 class NatDiscrete(_Nat):
     name = "nat-discrete"
 
@@ -174,7 +170,6 @@ class _Int(Carrier):
         return _is_int(x)
 
 
-@dataclass(frozen=True)
 class IntUsual(_Int):
     name = "int"
 
@@ -182,7 +177,6 @@ class IntUsual(_Int):
         return a <= b
 
 
-@dataclass(frozen=True)
 class IntDiscrete(_Int):
     name = "int-discrete"
 
@@ -197,7 +191,6 @@ class _PosNat(Carrier):
         return _is_int(x) and x >= 1
 
 
-@dataclass(frozen=True)
 class PosNatMulUsual(_PosNat):
     """Positive naturals under multiplication, usual numeric order."""
 
@@ -207,7 +200,6 @@ class PosNatMulUsual(_PosNat):
         return a <= b
 
 
-@dataclass(frozen=True)
 class PosNatDivisibility(_PosNat):
     """Positive naturals under multiplication, divisibility order."""
 
@@ -217,7 +209,6 @@ class PosNatDivisibility(_PosNat):
         return b % a == 0
 
 
-@dataclass(frozen=True)
 class RationalGrid(Carrier):
     """The rationals under addition, usual order."""
 
@@ -236,7 +227,6 @@ class RationalGrid(Carrier):
         return parse_rational(obj)
 
 
-@dataclass(frozen=True)
 class FreeWords(Carrier):
     """Words over a finite alphabet, ordered by length then lexicographically.
 
@@ -249,14 +239,15 @@ class FreeWords(Carrier):
 
     name = "free-words"
 
-    def __post_init__(self):
-        if not self.alphabet:
+    def __init__(self, alphabet):
+        if not alphabet:
             raise InputError("free-words carrier needs a nonempty alphabet")
-        if len(set(self.alphabet)) != len(self.alphabet):
+        if len(set(alphabet)) != len(alphabet):
             raise InputError("alphabet symbols must be distinct")
-        for sym in self.alphabet:
+        for sym in alphabet:
             if not isinstance(sym, str) or len(sym) != 1:
                 raise InputError("alphabet symbols must be single characters")
+        self._store(alphabet)
 
     def is_element(self, x):
         return isinstance(x, str) and set(x) <= set(self.alphabet)
@@ -271,7 +262,6 @@ class FreeWords(Carrier):
         return x
 
 
-@dataclass(frozen=True)
 class Truncated(Carrier):
     """The finite carrier {0, ..., n} for degree-capped polynomials."""
 
@@ -279,9 +269,10 @@ class Truncated(Carrier):
 
     name = "truncated"
 
-    def __post_init__(self):
-        if not _is_int(self.n) or self.n < 0:
+    def __init__(self, n):
+        if not _is_int(n) or n < 0:
             raise InputError("truncation degree must be a natural number")
+        self._store(n)
 
     def is_element(self, x):
         return _is_int(x) and 0 <= x <= self.n

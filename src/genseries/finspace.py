@@ -40,9 +40,9 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 
 from .errors import InputError, SizeBoundError
+from .values import Value
 
 _SYSTEM_CAP = 16  # 2^|X| family enumeration guard
 _FN_CAP = 4096  # (|Y|+1)^|X| partial-function enumeration guard
@@ -52,11 +52,22 @@ _FN_CAP = 4096  # (|Y|+1)^|X| partial-function enumeration guard
 # spaces and set systems
 
 
-@dataclass(frozen=True)
-class FinSpace:
+class FinSpace(Value):
     """A finite carrier; its finiteness structure is forced (full powerset)."""
 
     carrier: tuple
+
+    # by hand, with no field tuple kept: the checker builds hundreds a sweep
+    def __init__(self, carrier):
+        object.__setattr__(self, "carrier", carrier)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.carrier == other.carrier
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.carrier,))
 
     def __len__(self):
         return len(self.carrier)
@@ -72,18 +83,18 @@ def space(labels) -> FinSpace:
     return FinSpace(tuple(sorted(labels, key=repr)))
 
 
-@dataclass(frozen=True)
-class SetSystem:
+class SetSystem(Value):
     """A carrier with an explicit family of subsets, not necessarily closed."""
 
     carrier: tuple
     family: tuple
 
-    def __post_init__(self):
-        carrier = set(self.carrier)
-        for u in self.family:
-            if not u <= carrier:
+    def __init__(self, carrier, family):
+        labels = set(carrier)
+        for u in family:
+            if not u <= labels:
                 raise InputError(f"family member {set(u)!r} leaves the carrier")
+        self._store(carrier, family)
 
 
 def system(labels, family) -> SetSystem:
@@ -267,11 +278,13 @@ def symmetry(a: FinSpace, b: FinSpace) -> PartialFn:
 # limits and colimits
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(Value):
     """The adjoined undefinedness point of one product coordinate."""
 
     index: int
+
+    def __init__(self, index):
+        self._store(index)
 
     def __repr__(self):
         return f"*{self.index}"

@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import count, repeat
@@ -71,9 +70,10 @@ from .catalog import (ALL, All, Carrier, Descriptor, FiniteSet, FreeWords,
                       TailGE, Truncated, _exp_text, _is_int, carrier_from_spec,
                       finite)
 from .errors import CarrierError, DescriptorError, InputError
+from .values import Value
 
 
-class Monoid:
+class Monoid(Value):
     """Shared interface of catalog monoids and embedded pomonoid tables.
 
     All instances are immutable value objects; every operation is pure, so
@@ -352,13 +352,15 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-@dataclass(frozen=True)
 class CatalogMonoid(Monoid):
     """A catalog carrier with its standard (partial) product: the base of
     the product families below, holding what they share.  Build instances
     with the factories (``nat()``, ...) or ``monoid_from_spec``."""
 
     carrier: Carrier
+
+    def __init__(self, carrier):
+        self._store(carrier)
 
     def is_element(self, x):
         return self.carrier.is_element(x)
@@ -626,7 +628,6 @@ def _cover(*descs):
 # embedded finite pomonoids
 
 
-@dataclass(frozen=True)
 class TableMonoid(Monoid):
     """A total finiteness monoid on a finite carrier, given by a Cayley table.
 
@@ -640,6 +641,9 @@ class TableMonoid(Monoid):
     labels: tuple
     cayley: tuple
     unit_index: int
+
+    def __init__(self, labels, cayley, unit_index):
+        self._store(labels, cayley, unit_index)
 
     def is_element(self, x):
         return x in self.labels

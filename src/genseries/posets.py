@@ -15,7 +15,6 @@ finite pomonoid into a total finiteness monoid, completes the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 
 from .catalog import (All, Carrier, Descriptor, FiniteSet, FreeWords,
@@ -24,17 +23,20 @@ from .catalog import (All, Carrier, Descriptor, FiniteSet, FreeWords,
                       TailGE, Truncated)
 from .errors import (CarrierError, DescriptorError, InputError, InternalError,
                      StrictnessError)
+from .values import Value
 
 # ---------------------------------------------------------------------------
 # classification
 
 
-@dataclass(frozen=True)
-class OrderClassification:
+class OrderClassification(Value):
     artinian: bool
     noetherian: bool
     narrow: bool
     finite: bool
+
+    def __init__(self, artinian, noetherian, narrow, finite):
+        self._store(artinian, noetherian, narrow, finite)
 
     def to_json(self):
         return {
@@ -196,23 +198,22 @@ def relation_from_json(elements, leq) -> tuple[tuple, tuple]:
     return tuple(elements), tuple(tuple(bool(v) for v in row) for row in leq)
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class FinitePoset(Value):
     """A finite poset given by labels and a boolean order matrix."""
 
     elements: tuple
     leq: tuple
-    # the order as bitset rows, built once here, where the laws are checked,
-    # and read by the algorithms
-    rows: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        bad = _shape_violations(self.elements, self.leq)
+    def __init__(self, elements, leq):
+        bad = _shape_violations(elements, leq)
         if not bad:
-            object.__setattr__(self, "rows", _rows(self.leq))
-            bad = _law_violations(self.elements, self.rows)
+            # bitset rows, built once where the laws are checked; not a field
+            rows = _rows(leq)
+            bad = _law_violations(elements, rows)
         if bad:
             raise InputError("not a poset: " + "; ".join(bad))
+        self._store(elements, leq)
+        object.__setattr__(self, "rows", rows)
 
     @staticmethod
     def build(elements, leq_rows) -> "FinitePoset":
@@ -371,15 +372,15 @@ def is_strict_map(f, p: FinitePoset, q: FinitePoset) -> bool:
 # pomonoids
 
 
-@dataclass(frozen=True)
-class FinitePomonoid:
+class FinitePomonoid(Value):
     """A finite monoid in posets: Cayley table + order-preserving operation."""
 
     poset: FinitePoset
     cayley: tuple
     unit_index: int
 
-    def __post_init__(self):
+    def __init__(self, poset, cayley, unit_index):
+        self._store(poset, cayley, unit_index)
         n = len(self.poset.elements)
         if len(self.cayley) != n or any(len(row) != n for row in self.cayley):
             raise InputError("Cayley table shape does not match the poset")

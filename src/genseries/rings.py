@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import _is_int, parse_rational
 from .errors import InputError
+from .values import Value
 
 
-class Ring:
+class Ring(Value):
     """Unital ring interface.  Commutativity is not assumed."""
 
     name = "?"
@@ -96,9 +96,6 @@ class Ring:
     def element_from_json(self, obj):
         raise NotImplementedError
 
-    def __repr__(self):
-        return self.name
-
 
 class _Numbers:
     """The operations of a ring of Python numbers: the operator builtins
@@ -113,7 +110,6 @@ class _Numbers:
     render = element_to_json = str
 
 
-@dataclass(frozen=True)
 class IntRing(_Numbers, Ring):
     """Arbitrary-precision integers."""
 
@@ -137,7 +133,6 @@ class IntRing(_Numbers, Ring):
         raise InputError(f"bad integer literal {obj!r}")
 
 
-@dataclass(frozen=True)
 class RationalRing(_Numbers, Ring):
     """Arbitrary-precision rationals, always in lowest terms.
 
@@ -177,18 +172,18 @@ class RationalRing(_Numbers, Ring):
         return parse_rational(obj)
 
 
-@dataclass(frozen=True)
 class ModRing(Ring):
     """Integers modulo n, for n >= 2."""
 
     modulus: int
 
     name = "mod"
-    zero, one = 0, 1  # __post_init__ requires a modulus of at least 2
+    zero, one = 0, 1  # __init__ requires a modulus of at least 2
 
-    def __post_init__(self):
-        if not _is_int(self.modulus) or self.modulus < 2:
+    def __init__(self, modulus):
+        if not _is_int(modulus) or modulus < 2:
             raise InputError("modulus must be an integer >= 2")
+        self._store(modulus)
 
     def add(self, a, b):
         return (a + b) % self.modulus
@@ -233,7 +228,6 @@ class ModRing(Ring):
         return f"mod{self.modulus}"
 
 
-@dataclass(frozen=True)
 class Mat2Ring(Ring):
     """2x2 matrices over the integers, stored as flat row-major 4-tuples.
 
