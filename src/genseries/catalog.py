@@ -35,9 +35,6 @@ from .values import Value
 class FiniteSet(Value):
     elements: frozenset
 
-    def __init__(self, elements):
-        self._store(elements)
-
     def __contains__(self, x):
         return x in self.elements
 

@@ -57,17 +57,8 @@ class FinSpace(Value):
 
     carrier: tuple
 
-    # by hand, with no field tuple kept: the checker builds hundreds a sweep
-    def __init__(self, carrier):
-        object.__setattr__(self, "carrier", carrier)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.carrier == other.carrier
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.carrier,))
+    def __init__(self, carrier):  # by hand: the checker builds hundreds a sweep
+        self._store(carrier)
 
     def __len__(self):
         return len(self.carrier)
@@ -282,9 +273,6 @@ class Star(Value):
     """The adjoined undefinedness point of one product coordinate."""
 
     index: int
-
-    def __init__(self, index):
-        self._store(index)
 
     def __repr__(self):
         return f"*{self.index}"

@@ -359,9 +359,6 @@ class CatalogMonoid(Monoid):
 
     carrier: Carrier
 
-    def __init__(self, carrier):
-        self._store(carrier)
-
     def is_element(self, x):
         return self.carrier.is_element(x)
 
@@ -641,9 +638,6 @@ class TableMonoid(Monoid):
     labels: tuple
     cayley: tuple
     unit_index: int
-
-    def __init__(self, labels, cayley, unit_index):
-        self._store(labels, cayley, unit_index)
 
     def is_element(self, x):
         return x in self.labels

@@ -35,9 +35,6 @@ class OrderClassification(Value):
     narrow: bool
     finite: bool
 
-    def __init__(self, artinian, noetherian, narrow, finite):
-        self._store(artinian, noetherian, narrow, finite)
-
     def to_json(self):
         return {
             "artinian": self.artinian,

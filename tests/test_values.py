@@ -97,6 +97,20 @@ def test_values_take_their_fields_by_keyword(cls, fields, text):
             cls()
 
 
+def test_the_default_constructor_binds_fields_by_position_then_keyword():
+    t = TableMonoid(("e", "x"), cayley=((0, 1), (1, 0)), unit_index=0)
+    assert t == TableMonoid(unit_index=0, labels=("e", "x"), cayley=((0, 1), (1, 0)))
+    assert t._values == (("e", "x"), ((0, 1), (1, 0)), 0)
+    with pytest.raises(TypeError, match="unexpected field 'elements'"):
+        FiniteSet(frozenset(), elements=frozenset())
+    with pytest.raises(TypeError, match="missing field 'unit_index'"):
+        TableMonoid(("e",), ((0,),))
+    with pytest.raises(TypeError, match="takes 3 fields, got 4"):
+        TableMonoid(("e",), ((0,),), 0, None)
+    with pytest.raises(TypeError):
+        All(1)
+
+
 @pytest.mark.parametrize("cls, fields, text", CASES, ids=IDS)
 def test_values_refuse_assignment(cls, fields, text):
     value = cls(**fields)
