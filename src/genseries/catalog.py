@@ -293,14 +293,14 @@ def parse_rational(obj) -> Fraction:
 # ---------------------------------------------------------------------------
 # CLI carrier specs
 
-_NAMED_CARRIERS = {
-    "nat": NatUsual,
-    "nat-discrete": NatDiscrete,
-    "int": IntUsual,
-    "int-discrete": IntDiscrete,
-    "posnat-mul": PosNatMulUsual,
-    "posnat-div": PosNatDivisibility,
-    "rational-grid": RationalGrid,
+_NAMED_CARRIERS = {  # one shared instance each: carriers are immutable values
+    "nat": NatUsual(),
+    "nat-discrete": NatDiscrete(),
+    "int": IntUsual(),
+    "int-discrete": IntDiscrete(),
+    "posnat-mul": PosNatMulUsual(),
+    "posnat-div": PosNatDivisibility(),
+    "rational-grid": RationalGrid(),
 }
 
 
@@ -308,7 +308,7 @@ def carrier_from_spec(spec) -> Carrier:
     """Decode a carrier spec: a name, {"trunc": n} or {"words": [...]}."""
     if isinstance(spec, str):
         if spec in _NAMED_CARRIERS:
-            return _NAMED_CARRIERS[spec]()
+            return _NAMED_CARRIERS[spec]
         raise InputError(f"unknown carrier {spec!r}; expected one of "
                          f"{sorted(_NAMED_CARRIERS)} or an object spec")
     if isinstance(spec, dict):

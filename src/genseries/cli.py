@@ -273,13 +273,12 @@ def _emit(args, payload, text) -> int:
     return 0
 
 
-def _series_payload(series: GenSeries, monoid, ring, window: int):
-    terms = series.terms_on(window)
+def _series_payload(series: GenSeries, monoid, window: int):
+    elements, (texts, values) = series.outputs_on(window, (False, True))
     return {
         "window": window,
-        "terms": [[monoid.carrier.element_to_json(m), ring.element_to_json(c)]
-                  for m, c in terms],
-        "text": series.format_terms(terms),
+        "terms": [[monoid.carrier.element_to_json(m), v] for m, v in zip(elements, values)],
+        "text": series.format_terms(zip(elements, texts)),
     }
 
 
@@ -364,7 +363,7 @@ def _show_series(args, blob, monoid, ring, extra=lambda series: {}) -> int:
         series = eval_expression(expr, monoid, ring, window)
     else:
         series = _terms_from_json(monoid, ring, terms)
-    return _emit(args, lambda: _series_payload(series, monoid, ring, window) | extra(series),
+    return _emit(args, lambda: _series_payload(series, monoid, window) | extra(series),
                  lambda: series.render(window))
 
 
@@ -384,11 +383,11 @@ def cmd_dirichlet(args) -> int:
         raise InputError("n-max must be at least 1")
     expr = _field(args, blob, "expr", "expr")
     series = eval_expression(expr, posnat_mul(), ring, n_max)
-    values = series.window_coeffs(n_max)
-    rows = [(n, values.get(n, ring.zero)) for n in range(1, n_max + 1)]
-    return _emit(args,
-                 lambda: {"values": [[n, ring.element_to_json(v)] for n, v in rows]},
-                 lambda: "\n".join(f"{n}\t{ring.render(v)}" for n, v in rows))
+
+    def rows(json):  # (n, output) for every n, a finite series' zeros too
+        return enumerate(series.outputs_on(n_max, (json,), zeros=True)[1][0], 1)
+    return _emit(args, lambda: {"values": list(rows(True))},
+                 lambda: "\n".join(f"{n}\t{out}" for n, out in rows(False)))
 
 
 def cmd_puiseux(args) -> int:

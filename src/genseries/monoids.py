@@ -672,54 +672,57 @@ class TableMonoid(Monoid):
 # factories
 
 
-# cached: the expression builtins compare against nat() and posnat_mul()
 @cache
+def _monoid(carrier) -> CatalogMonoid:
+    """The one shared (immutable) monoid on a carrier."""
+    return _FAMILY[type(carrier)](carrier)
+
+
 def nat() -> CatalogMonoid:
     """Naturals under addition, usual order: ordinary power series."""
-    return _NatMonoid(NatUsual())
+    return _monoid(NatUsual())
 
 
 def nat_discrete() -> CatalogMonoid:
     """Naturals under addition, discrete order: polynomials."""
-    return _NatMonoid(NatDiscrete())
+    return _monoid(NatDiscrete())
 
 
 def integers() -> CatalogMonoid:
     """Integers under addition, usual order: Laurent series."""
-    return _IntMonoid(IntUsual())
+    return _monoid(IntUsual())
 
 
 def integers_discrete() -> CatalogMonoid:
     """Integers under addition, discrete order: Laurent polynomials."""
-    return _IntMonoid(IntDiscrete())
+    return _monoid(IntDiscrete())
 
 
-@cache
 def posnat_mul() -> CatalogMonoid:
     """Positive naturals under multiplication, usual order: arithmetic
     functions with Dirichlet convolution."""
-    return _PosNatMonoid(PosNatMulUsual())
+    return _monoid(PosNatMulUsual())
 
 
 def posnat_div() -> CatalogMonoid:
     """Positive naturals under multiplication, divisibility order: a proper
     subring of the arithmetic functions (finite supports only)."""
-    return _PosNatMonoid(PosNatDivisibility())
+    return _monoid(PosNatDivisibility())
 
 
 def rational_grid() -> CatalogMonoid:
     """Rationals under addition: Puiseux series on fixed-denominator tails."""
-    return _GridMonoid(RationalGrid())
+    return _monoid(RationalGrid())
 
 
 def free_words(alphabet) -> CatalogMonoid:
     """The free monoid on an alphabet: noncommutative formal power series."""
-    return _WordMonoid(FreeWords(tuple(alphabet)))  # a string is its symbols
+    return _monoid(FreeWords(tuple(alphabet)))  # a string is its symbols
 
 
 def truncated(n: int) -> CatalogMonoid:
     """{0..n} with addition undefined past n: polynomials of degree <= n."""
-    return _TruncMonoid(Truncated(n))
+    return _monoid(Truncated(n))
 
 
 def catalog_monoids(trunc_degree: int = 4, alphabet=("x", "y")) -> list[CatalogMonoid]:
@@ -732,5 +735,4 @@ def catalog_monoids(trunc_degree: int = 4, alphabet=("x", "y")) -> list[CatalogM
 
 
 def monoid_from_spec(spec) -> CatalogMonoid:
-    carrier = carrier_from_spec(spec)
-    return _FAMILY[type(carrier)](carrier)
+    return _monoid(carrier_from_spec(spec))

@@ -20,7 +20,9 @@ for the images of integers), multiplies lifted lists through a kernel
 the identity; rationals are integer numerators over one denominator;
 ``mod n`` runs on representatives, reduced once per product, since Z -> Z/n
 is a ring homomorphism; ``mat2`` is four entry lists, one product eight
-kernel calls with each f entry on the left.
+kernel calls with each f entry on the left.  A window's output is rendered
+off its lifted list (``render_column``): on the integers, and on rationals
+over the denominator 1 (``str(Fraction(n, 1)) == str(n)``), with no lowering.
 """
 
 from __future__ import annotations
@@ -89,6 +91,14 @@ class Ring(Value):
         ks, where ``kernel(f, g, ks)`` is a product of integer lists, f's
         values the left factors."""
         return kernel(f, g, ks)
+
+    def render_column(self, lifted, window: slice, json=False) -> list:
+        """The texts (``render``), or with json the JSON values
+        (``element_to_json``), of a lifted list's values at the window's
+        indices: lowered and rendered value by value (on the integers
+        lowering is the identity)."""
+        return list(map(self.element_to_json if json else self.render,
+                        self.lower(lifted)[window]))
 
     def element_to_json(self, a):
         raise NotImplementedError
@@ -164,6 +174,12 @@ class RationalRing(_Numbers, Ring):
 
     def kernel_product(self, kernel, f, g, ks):
         return kernel(f[0], g[0], ks), f[1] * g[1]
+
+    def render_column(self, lifted, window, json=False):
+        numerators, den = lifted  # str(Fraction(n, 1)) == str(n), text and JSON value
+        if den != 1:
+            return super().render_column(lifted, window, json)
+        return list(map(str, numerators[window]))
 
     def is_element(self, a):
         return isinstance(a, Fraction) or _is_int(a)
@@ -370,15 +386,15 @@ def find_noncommuting_pair(ring: Ring, samples):
 # CLI ring specs
 
 
+# one shared instance per named ring: rings are immutable values
+_NAMED_RINGS = {ring.name: ring for ring in (IntRing(), RationalRing(), Mat2Ring())}
+
+
 def ring_from_spec(spec) -> Ring:
     """Decode "int" | "rational" | "mat2" | {"mod": n}."""
     if isinstance(spec, str):
-        if spec == "int":
-            return IntRing()
-        if spec == "rational":
-            return RationalRing()
-        if spec == "mat2":
-            return Mat2Ring()
+        if spec in _NAMED_RINGS:
+            return _NAMED_RINGS[spec]
         raise InputError(f"unknown ring {spec!r}")
     if isinstance(spec, dict) and set(spec) == {"mod"}:
         return ModRing(spec["mod"])

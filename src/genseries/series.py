@@ -39,18 +39,20 @@ Every series records how it was built: a finite table, a leaf function,
 or ``add``/``neg``/``mul`` of other series.  Sums and negations of finite
 series are computed when they are built.  A product of two finite series
 keeps its two factors and builds no table until something reads the whole
-of it: its ``support``, a window or render, a sum or negation, or an
-infinite series it is a factor of.  That build runs ``_convolve`` on the
-factors' tables, operands first and iteratively (``_complete``), so its
-keys, zero entries included, and their order are those of an eager
-product, and its support is exactly the table's keys.  Before that,
-``coeff(m)`` fills the table only up to the bound that m needs (``_fill``):
-on the families with ``Monoid.cofactor_top`` a factor's keys matter only
-up to that bound of the other factor's least key, which each product works
-out once from its factors' (Ribenboim's finiteness condition, concretely).
-Elsewhere a query builds the whole table.  All other coefficients come
-from one evaluator, ``_evaluate``, behind ``coeff``, ``window_coeffs``
-(and so ``terms_on`` and ``render``), ``agree_on`` and ``is_zero_on``.
+of it: its ``support``, a window or render where the family has no
+``Monoid.cofactor_top``, a sum or negation, or an infinite series it is a
+factor of.  That build runs ``_convolve`` on the factors' tables, operands
+first and iteratively (``_complete``), freeing each table below once its
+parent is built, so its keys, zero entries included, and their order are
+those of an eager product, and its support is exactly the table's keys.
+Before that, ``coeff(m)`` and a window fill the table only up to the bound
+that their last point needs (``_fill``): on the families with
+``Monoid.cofactor_top`` a factor's keys matter only up to that bound of the
+other factor's least key, which each product works out once from its
+factors' (Ribenboim's finiteness condition, concretely).  Elsewhere a query
+builds the whole table.  All other coefficients come from one evaluator,
+``_evaluate``, behind ``coeff``, ``window_coeffs`` (and so ``terms_on``,
+``outputs_on`` and ``render``), ``agree_on`` and ``is_zero_on``.
 It walks the build record once, iteratively, so chain depth costs no
 stack, and it asks each operand only for what its parents need: a
 product needs its factors on the fibers of its points.  The monoid's
@@ -78,8 +80,11 @@ off its memo.  A series needed at a point above its prefix computes that
 point alone.  Each series keeps its values in its memo, and a kernel
 product its prefix as the lifted list, so repeated queries reuse work below
 the root; a kernel product's prefix goes into its memo only where the
-query or a parent other than a kernel product reads it.  Leaves other than
-the builtins are read only at members of their support, once each.
+query or a parent other than a kernel product reads it.  A window unit..N
+of a builtin or a kernel product is the root's lifted prefix, kept and not
+lowered into its memo: ``window_coeffs`` lowers it, and ``outputs_on`` and
+``render`` render it (``Ring.render_column``).  Leaves other than the
+builtins are read only at members of their support, once each.
 
 Checks run at the boundary, not in the evaluator: ``from_terms`` checks
 every element and coefficient, ``from_function`` admits its support and
@@ -100,6 +105,7 @@ and its support is published only from that.
 from __future__ import annotations
 
 import operator
+from itertools import compress
 
 from .catalog import ALL, All, FiniteSet, _is_int, finite
 from .errors import InputError, SizeBoundError
@@ -228,20 +234,31 @@ class GenSeries:
         is_zero = self.ring.is_zero
         return [(m, c) for m, c in zip(*_window(self, region)) if not is_zero(c)]
 
+    def outputs_on(self, region: int, forms=(False,), zeros=False):
+        """The elements of the window's nonzero terms (with zeros, all its
+        elements) and per form their coefficients' outputs: texts for False,
+        JSON values for True (``Ring.render_column``).  Outputs are canonical,
+        so a coefficient is zero where its output is the zero's."""
+        elements, outputs = _window(self, region, forms, zeros)
+        zero = (self.ring.element_to_json if forms[0] else self.ring.render)(self.ring.zero)
+        if zeros or zero not in outputs[0]:
+            return elements, outputs
+        keep = [out != zero for out in outputs[0]]
+        return list(compress(elements, keep)), [list(compress(out, keep)) for out in outputs]
+
     def render(self, region: int) -> str:
-        return self.format_terms(self.terms_on(region))
+        elements, (texts,) = self.outputs_on(region)
+        return self.format_terms(zip(elements, texts))
 
     def format_terms(self, terms) -> str:
-        """The display text of (element, coefficient) pairs from ``terms_on``."""
+        """The display text of (element, text) pairs, each text a
+        coefficient's ``Ring.render``."""
+        unit, monomial = self.monoid.unit, self.monoid.monomial
         parts = []
-        for m, c in terms:
-            text = self.ring.render(c)
+        for m, text in terms:
             if text.startswith("-") or " " in text:
                 text = f"({text})"
-            if m == self.monoid.unit:
-                parts.append(text)
-            else:
-                parts.append(f"{text}·{self.monoid.monomial(m)}")
+            parts.append(text if m == unit else f"{text}·{monomial(m)}")
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
@@ -284,16 +301,44 @@ def _table(series: GenSeries) -> dict:
     return series._memo
 
 
-def _window(series: GenSeries, region: int):
-    """The support elements in the window, in display order, and their
-    coefficients: a finite table's keys are listed and then lowered."""
-    monoid = series.monoid
+def _window(series: GenSeries, region: int, forms=None, whole=False):
+    """The support elements in the window (with whole, all its elements), in
+    display order, and their coefficients, or per form their outputs
+    (``GenSeries.outputs_on``).  A finite table's keys are listed, then
+    lowered; a finite product with ``cofactor_top`` is filled up to the
+    window only.  A window unit..region of a builtin or kernel product on a
+    list kernel's family reads the root's lifted column."""
+    monoid, ring = series.monoid, series.ring
     if _is_finite(series):
-        table, scale = _table(series), series._scale
-        keys = monoid.window_keys(table, scale, region)
-        return monoid.lower_keys(keys, scale), [table[k] for k in keys]
-    elements = monoid.enumerate_admitted(series.support, region)
-    return elements, _evaluate(series, elements)
+        if series._build is _TABLE or monoid.cofactor_top is None:
+            table = _table(series)
+        else:
+            _fill(series, region)
+            table = series._memo
+        scale = series._scale
+        if whole:
+            elements = monoid.window(region)
+            values = [table.get(monoid.lift_key(m, scale), ring.zero) for m in elements]
+        else:
+            keys = monoid.window_keys(table, scale, region)
+            elements, values = monoid.lower_keys(keys, scale), [table[k] for k in keys]
+    else:
+        elements = (monoid.window(region) if whole
+                    else monoid.enumerate_admitted(series.support, region))
+        op, *operands = series._build
+        if elements and monoid.list_kernel(elements) and (  # a builtin or a kernel product
+                operands[1] is not None if op == "leaf"
+                else op == "mul" and not any(map(_is_finite, operands))):
+            column = _evaluate(series, elements, elements[-1])
+            window = slice(monoid.unit, elements[-1] + 1)
+            if forms is None:
+                return elements, ring.lower(column)[window]
+            return elements, [ring.render_column(column, window, json) for json in forms]
+        values = _evaluate(series, elements)
+    if forms is None:
+        return elements, values
+    return elements, [list(map(ring.element_to_json if json else ring.render, values))
+                      for json in forms]
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +442,9 @@ def _complete(root: GenSeries):
     onto one scale, as if built when multiplied.  A memo holds the whole
     table before its build reads _TABLE, and a support is published only
     after that, from the keys."""
-    for node in _post_order(root):
+    order = _post_order(root)[::-1]
+    while order:  # popped, so a table below is freed once its parent is built
+        node = order.pop()
         _, f, g = node._build
         monoid = node.monoid
         fs, gs, node._scale = monoid.join_tables(f._memo, f._scale, g._memo, g._scale)
@@ -405,8 +452,11 @@ def _complete(root: GenSeries):
         node._build = _TABLE  # the operands are no longer needed
 
 
-def _evaluate(root: GenSeries, points) -> list:
-    """root's coefficients at carrier elements that the caller has validated.
+def _evaluate(root: GenSeries, points, prefix=None) -> list:
+    """root's coefficients at carrier elements that the caller has validated;
+    with prefix, for a root that is a builtin leaf or a kernel product, its
+    lifted list over 0..prefix (or further) for the window unit..prefix at
+    points, which is not lowered into its memo.
 
     Values are computed into the memos of root and the infinite series below
     it, in one walk: parents first, each node's demand passes to its
@@ -431,7 +481,7 @@ def _evaluate(root: GenSeries, points) -> list:
     monoid, ring = root.monoid, root.ring
     zero, unit = ring.zero, monoid.unit
     need = {}  # node -> the points to compute
-    tops = {}  # leaf or kernel product -> the last point of its prefix
+    tops = {} if prefix is None else {root: prefix}  # leaf or kernel product -> its last point
 
     def demand(node, pts):
         if _is_finite(node):
@@ -442,9 +492,10 @@ def _evaluate(root: GenSeries, points) -> list:
         if new:
             need.setdefault(node, set()).update(new)
 
-    demand(root, points)
-    order = _post_order(root) if need else []
-    kernel = monoid.list_kernel(points) if need else None
+    if prefix is None:
+        demand(root, points)
+    order = _post_order(root) if need or tops else []
+    kernel = monoid.list_kernel(points) if order else None
     # the products of two infinite series that the kernel runs
     kernels = set() if kernel is None else {
         node for node in order if node._build[0] == "mul"
@@ -541,6 +592,8 @@ def _evaluate(root: GenSeries, points) -> list:
             for a, b in fibers[m]:
                 total = ring.add(total, ring.mul(fv[a], gv[b]))
             memo[m] = total
+    if prefix is not None:
+        return lists[root]
     memo = root._memo
     return [memo.get(m, zero) for m in points]
 

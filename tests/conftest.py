@@ -1,5 +1,7 @@
 import os
 import random
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,3 +22,18 @@ from genseries.selftest import (ALL_RINGS, element_pool, random_descriptor,  # n
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+@pytest.fixture
+def capped_cli():
+    """run(*args, memory_mb=512, timeout=60): the CLI in a child process whose
+    address space is capped (``RLIMIT_AS``, set in the child) and whose wall
+    time is bounded, so a memory regression fails fast with exit 2
+    (``MemoryError``) instead of exhausting the machine's memory."""
+    def run(*args, memory_mb=512, timeout=60):
+        limit = memory_mb * 2 ** 20
+        return subprocess.run(
+            [sys.executable, "-m", "genseries.cli", *args], capture_output=True, text=True,
+            timeout=timeout,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    return run

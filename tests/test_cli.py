@@ -689,3 +689,16 @@ def test_a_window_past_the_size_cap_is_refused_before_it_is_built(capsys, argv, 
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: {what} must be at most 1000000\n"
+
+
+@pytest.mark.parametrize("monoid", ["nat", "int"])
+def test_a_long_chain_of_distinct_binomials_is_filled_only_up_to_the_window(
+        capped_cli, monoid):
+    # the product of (1 + T^k) for k = 1..3000 has at T^m the number of
+    # partitions of m into distinct parts; built whole, its tables need more
+    # than the cap
+    expr = "*".join(f"(1+T^{k})" for k in range(1, 3001))
+    proc = capped_cli("series-eval", "--monoid", monoid, "--ring", "int",
+                      "--window", "3", "--expr", expr)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "1 + 1·T^1 + 1·T^2 + 2·T^3\n"

@@ -10,6 +10,8 @@ from genseries import (ALL, CarrierError, DescriptorError, GridTail, IntRing, Ta
                        integers, integers_discrete, nat, nat_discrete,
                        posnat_div, posnat_mul, rational_grid, truncated, zeta)
 from genseries import monoids
+from genseries.catalog import carrier_from_spec
+from genseries.rings import ring_from_spec
 
 import oracles
 from conftest import element_pool, random_descriptor
@@ -364,3 +366,13 @@ def test_truncated_partial_associativity_exhaustive():
                     left = m.mul(ab, c) if ab is not None else None
                     right = m.mul(a, bc) if bc is not None else None
                     assert left == right
+
+
+def test_named_specs_read_as_one_shared_instance():
+    assert monoids.monoid_from_spec("nat") is nat()
+    assert monoids.monoid_from_spec("posnat-mul") is monoids.posnat_mul()
+    assert monoids.monoid_from_spec({"trunc": 3}) is monoids.truncated(3)
+    assert monoids.monoid_from_spec({"words": "xy"}) is monoids.free_words(["x", "y"])
+    for name in ("int", "rational", "mat2"):
+        assert ring_from_spec(name) is ring_from_spec(name)
+    assert carrier_from_spec("int") is carrier_from_spec("int")

@@ -508,11 +508,15 @@ def test_a_repeated_query_reads_the_kept_prefix_and_lowers_only_the_roots_points
     assert products == [1] and lowered == [1]
     products.clear()
     assert series.window_coeffs(150) == {m: comb(m + 2, 2) for m in range(151)}
-    assert products == [149] and inner._memo == {}
+    # the window is the root's whole prefix, one kernel call, kept lifted and
+    # not lowered into the memo
+    assert products == [151] and inner._memo == {} and set(series._memo) == {150, 75}
     products.clear()
     assert [series.coeff(m) for m in (150, 75, 3)] == [comb(152, 2), comb(77, 2), 10]
+    assert products == [1]  # 150 and 75 are memo reads, 3 one point
+    products.clear()
     assert series.window_coeffs(150) == {m: comb(m + 2, 2) for m in range(151)}
-    assert products == []  # memo reads
+    assert products == []  # the kept prefix
     cube = eval_expression("zeta * zeta * zeta", posnat_mul(), Q, 60)
     want = {n: oracles.ordered_factorizations(n, 3) for n in range(1, 61)}
     assert cube.window_coeffs(60) == want and cube.window_coeffs(60) == want
@@ -1016,3 +1020,49 @@ def test_the_lift_divides_only_by_a_denominator_it_needs():
     assert lift(RATIONAL_LISTS["integers"]) == ([0, 1, -1, 3, 0, -4, 2, 1, -7, 5, 0, 6, 1], 1)
     numerators, den = lift([Fraction(1, 2), Fraction(-2, 3), Fraction(5), Fraction(0)])
     assert (numerators, den) == ([3, -4, 30, 0], 6)
+
+
+def column_series(monoid, ring, shape):
+    """A series whose windows read a lifted column: a builtin, or a product of
+    two infinite series; on the rationals a leaf of non-integer values
+    (1/(m + 1), or m/2) gives the column a denominator other than 1."""
+    def leaf(kind):
+        if kind == "builtin":
+            return geometric(ring) if monoid == nat() else zeta(ring)
+        if kind == "moebius" and monoid == posnat_mul():
+            return moebius(ring, 60)
+        if isinstance(ring, RationalRing):
+            fn = (lambda m: Fraction(1, m + 1)) if kind == "leaf" else (lambda m: Fraction(m, 2))
+        else:
+            fn = lambda m: ring.from_int(3 * m - 7)  # noqa: E731
+        return from_function(monoid, ring, ALL, fn)
+
+    return reduce(operator.mul, map(leaf, shape))
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=repr)
+@pytest.mark.parametrize("monoid", [nat(), posnat_mul()], ids=lambda m: m.describe())
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(shape=st.lists(st.sampled_from(["builtin", "moebius", "leaf", "half"]),
+                      min_size=1, max_size=3),
+       region=st.integers(0, 60), repeat=st.booleans())
+def test_column_windows_match_the_point_by_point_path(monoid, ring, shape, region, repeat):
+    series = column_series(monoid, ring, shape)
+    if repeat:  # a second window reads the kept column
+        series.window_coeffs(region)
+    # the point-by-point path: a fresh copy of the series, one query per point
+    points = monoid.window(region)
+    values = [column_series(monoid, ring, shape).coeff(m) for m in points]
+    got = series.window_coeffs(region)
+    assert list(got) == points and all(map(ring.eq, got.values(), values))
+    shown = [(m, c) for m, c in zip(points, values) if not ring.is_zero(c)]
+    texts, jsons = ([to(c) for _, c in shown] for to in (ring.render, ring.element_to_json))
+    assert series.outputs_on(region, (False, True)) == ([m for m, _ in shown], [texts, jsons])
+    assert series.outputs_on(region, (True,), zeros=True) == (
+        points, [list(map(ring.element_to_json, values))])
+    assert series.outputs_on(region, zeros=True)[1] == [list(map(ring.render, values))]
+    parts = [(f"({t})" if t.startswith("-") or " " in t else t)
+             + ("" if m == monoid.unit else f"·{monoid.monomial(m)}")
+             for (m, _), t in zip(shown, texts)]
+    assert series.render(region) == (" + ".join(parts) or "0")
+    assert series.terms_on(region) == shown
