@@ -110,7 +110,7 @@ class Monoid(Value):
     # cofactor_top(top, x): on a family whose products grow with each factor,
     # the largest y with x * y <= top, so a product's keys up to top need a
     # factor only up to there for x the other factor's least key; None
-    # elsewhere, where a query builds a product of finite series whole
+    # elsewhere, where series._table builds a queried finite product whole
     cofactor_top = None
 
     def list_kernel(self, points):

@@ -35,38 +35,37 @@ to elements (``Fraction``s) only where they are read out: the support,
 an infinite series reads a finite table (``_on_elements``).  On every
 other family a key is its element.
 
-Every series records how it was built: a finite table, a leaf function,
-or ``add``/``neg``/``mul`` of other series.  Sums and negations of finite
+Every series records how it was built: a finite table, a leaf function, or
+``add``/``neg``/``mul`` of other series.  Sums and negations of finite
 series are computed when they are built.  A product of two finite series
-keeps its two factors and builds no table until something reads the whole
-of it: its ``support``, a window or render where the family has no
-``Monoid.cofactor_top``, a sum or negation, or an infinite series it is a
-factor of.  That build runs ``_convolve`` on the factors' tables, operands
-first and iteratively (``_complete``), freeing each table below once its
-parent is built, so its keys, zero entries included, and their order are
-those of an eager product, and its support is exactly the table's keys.
-Before that, ``coeff(m)`` and a window fill the table only up to the bound
-that their last point needs (``_fill``): on the families with
-``Monoid.cofactor_top`` a factor's keys matter only up to that bound of the
-other factor's least key, which each product works out once from its
-factors' (Ribenboim's finiteness condition, concretely).  Elsewhere a query
-builds the whole table.  All other coefficients come from one evaluator,
+keeps its two factors and builds no table until something reads it.  One
+function reads a finite series' table and builds finite products,
+``_table``, in one iterative walk over the products below not yet built,
+operands first.  A query, ``coeff(m)`` or a window, asks for the table up to
+its last point: on the families with ``Monoid.cofactor_top`` a factor's keys
+matter only up to that bound of the other factor's least key, which each
+product works out once from its factors' (Ribenboim's finiteness condition,
+concretely), so the walk fills each product only that far.  Any other read
+(the support, a sum or negation, an infinite series it is a factor of, or a
+query on another family) builds each product whole with ``_convolve``,
+freeing each table below once its parent is built, so its keys, zero entries
+included, and their order are those of an eager product, and its support is
+exactly the table's keys.  All other coefficients come from one evaluator,
 ``_evaluate``, behind ``coeff``, ``window_coeffs`` (and so ``terms_on``,
-``outputs_on`` and ``render``), ``agree_on`` and ``is_zero_on``.
-It walks the build record once, iteratively, so chain depth costs no
-stack, and it asks each operand only for what its parents need: a
-product needs its factors on the fibers of its points.  The monoid's
-family picks how a product of two infinite factors is computed
-(``Monoid.list_kernel``): a Cauchy product on the additive naturals and a
-Dirichlet sieve for a whole window on the positive naturals, while a single
-query there sums its divisor pairs; everywhere else fibers come from
-``Monoid.fiber`` and the ring's own operations.  A list kernel multiplies
-integer lists only.  The ring lifts a value list to integer lists
-(``Ring.lift``), runs the kernel on lifted lists (``Ring.kernel_product``)
-and lowers a product's list to values only where a memo reader needs them,
-so a chain of kernel products stays on integers: rationals as numerators
-over one denominator, residues as representatives, matrices as four entry
-lists.
+``outputs_on`` and ``render``), ``agree_on`` and ``is_zero_on``.  It walks
+the build record once, iteratively, so chain depth costs no stack, and it
+asks each operand only for what its parents need: a product needs its
+factors on the fibers of its points.  The monoid's family picks how a
+product of two infinite factors is computed (``Monoid.list_kernel``): a
+Cauchy product on the additive naturals and a Dirichlet sieve for a whole
+window on the positive naturals, while a single query there sums its divisor
+pairs; everywhere else fibers come from ``Monoid.fiber`` and the ring's own
+operations.  A list kernel multiplies integer lists only.  The ring lifts a
+value list to integer lists (``Ring.lift``), runs the kernel on lifted lists
+(``Ring.kernel_product``) and lowers a product's list to values only where a
+memo reader needs them, so a chain of kernel products stays on integers:
+rationals as numerators over one denominator, residues as representatives,
+matrices as four entry lists.
 The Cauchy kernel reads a prefix off one big-integer product (Kronecker
 substitution) and a few points off dot products.  Where a list kernel runs,
 every fiber of a point lies in the prefix below it, so such a product needs
@@ -115,7 +114,7 @@ from .rings import Ring
 # how a series was built: ("table",), ("leaf", fn, ints) with ints(n) a builtin's
 # integer values over 0..n - 1 (None for other leaves), ("add", f, g), ("neg", f),
 # ("mul", f, g) with an infinite factor, or ("finite-mul", f, g) of two finite
-# ones whose table is not built yet (then it becomes _TABLE)
+# ones whose whole table _table has not built yet (then it becomes _TABLE)
 _TABLE = ("table",)
 _UNKNOWN = object()  # a least key not worked out yet
 
@@ -162,7 +161,7 @@ class GenSeries:
     def coeff(self, m):
         self.monoid.check_element(m)
         if _is_finite(self):
-            return _fill(self, m)
+            return _table(self, m).get(self.monoid.lift_key(m, self._scale), self.ring.zero)
         return _evaluate(self, (m,))[0]
 
     def agree_on(self, other: "GenSeries", region: int) -> bool:
@@ -207,8 +206,8 @@ class GenSeries:
         _check_compatible(self, other)
         monoid, ring = self.monoid, self.ring
         if _is_finite(self) and _is_finite(other):
-            # no table yet: coeff fills it as far as a query needs, and the
-            # first read of the whole builds it (_complete)
+            # no table yet: a query fills it as far as it needs, and the
+            # first read of the whole builds it (_table)
             return GenSeries(monoid, ring, None, ("finite-mul", self, other))
         # reading a finite factor's support builds its table, which the fibers
         # read; the bound is finite only when it is empty, and then so is the
@@ -294,11 +293,78 @@ def _is_finite(series: GenSeries) -> bool:
     return support is None or isinstance(support, FiniteSet)
 
 
-def _table(series: GenSeries) -> dict:
-    """A finite series' whole table, on keys over its ``_scale``."""
-    if series._build is not _TABLE:
-        _complete(series)
-    return series._memo
+def _table(root: GenSeries, top=None) -> dict:
+    """A finite series' table on keys over its ``_scale``: whole, or with top
+    on a family with ``Monoid.cofactor_top``, at least up to top.
+
+    The one builder of finite products: it walks root and the products below
+    it not yet built in ``_post_order``.  With a top, each product's least
+    key is worked out once, operands first: the product of its factors'
+    least keys.  Then, parents first, each product passes on how far its
+    factors are needed: a key of f * g up to top has its f-factor up to
+    ``cofactor_top(top, low)`` for g's least key low, and alike for g.
+    Then, operands first, each product crosses its factors' keys up to there
+    and keeps the keys up to top in its memo; a memo filled that far already
+    is read, not filled again.  Otherwise, operands first, each product's
+    whole table is ``_convolve`` of its factors' tables moved onto one
+    scale, as if built when multiplied; its memo holds it before its build
+    reads _TABLE, and each node is popped, so a table below is freed once
+    its parent is built.
+    """
+    if root._build is _TABLE or top is not None and root._top is not None and top <= root._top:
+        return root._memo  # built, or filled that far already
+    monoid, ring = root.monoid, root.ring
+    cofactor_top, product = monoid.cofactor_top, monoid.product
+    order = _post_order(root)
+    tops = None  # product -> how far its memo must hold its table; None: whole
+    if top is not None and cofactor_top is not None:
+        for node in order:
+            if node._low is _UNKNOWN:
+                _, f, g = node._build
+                low_f, low_g = _least(f), _least(g)
+                node._low = None if low_f is None or low_g is None else product(low_f, low_g)
+        tops = {root: top}
+        for node in reversed(order):  # parents first, so each top is the largest
+            top = tops.get(node)
+            if top is None:
+                continue
+            if node._low is None or node._top is not None and top <= node._top:
+                del tops[node]  # no keys, or filled that far
+                continue
+            _, f, g = node._build
+            for h, other in ((f, g), (g, f)):
+                if h._build is not _TABLE:
+                    need = cofactor_top(top, other._low)
+                    if tops.get(h, need) <= need:
+                        tops[h] = need
+    order.reverse()
+    add, mul = ring.add, ring.mul
+    while order:  # popped, so a whole table below is freed once its parent is built
+        node = order.pop()
+        _, f, g = node._build
+        if tops is None:
+            fs, gs, node._scale = monoid.join_tables(f._memo, f._scale, g._memo, g._scale)
+            node._memo = _convolve(monoid, ring, fs, gs)
+            node._build = _TABLE  # the operands are no longer needed
+            continue
+        top = tops.get(node)
+        if top is None:
+            continue
+        f_top, g_top = cofactor_top(top, g._low), cofactor_top(top, f._low)
+        gs = [(y, b) for y, b in g._memo.items() if y <= g_top]
+        out = {}
+        for x, a in f._memo.items():
+            if x <= f_top:
+                y_top = cofactor_top(top, x)  # x * y <= top
+                for y, b in gs:
+                    if y <= y_top:
+                        k = product(x, y)
+                        if k is not None:
+                            c = mul(a, b)
+                            out[k] = add(out[k], c) if k in out else c
+        node._memo.update(out)
+        node._top = top
+    return root._memo
 
 
 def _window(series: GenSeries, region: int, forms=None, whole=False):
@@ -310,12 +376,7 @@ def _window(series: GenSeries, region: int, forms=None, whole=False):
     list kernel's family reads the root's lifted column."""
     monoid, ring = series.monoid, series.ring
     if _is_finite(series):
-        if series._build is _TABLE or monoid.cofactor_top is None:
-            table = _table(series)
-        else:
-            _fill(series, region)
-            table = series._memo
-        scale = series._scale
+        table, scale = _table(series, region), series._scale
         if whole:
             elements = monoid.window(region)
             values = [table.get(monoid.lift_key(m, scale), ring.zero) for m in elements]
@@ -363,93 +424,12 @@ def _post_order(root: GenSeries) -> list:
     return order
 
 
-def _fill(root: GenSeries, m):
-    """root's coefficient at m, for a finite series: a table is read at m's
-    key, and a finite product's memo is filled with its table up to m, or on
-    a family without ``cofactor_top`` the whole table is built.
-
-    Operands first, each product's least key is worked out once: the
-    product of its factors' least keys.  Then, parents first, each product
-    passes on how far its factors are needed: a key of f * g up to top has
-    its f-factor up to ``cofactor_top(top, low)`` for g's least key low, and
-    alike for g.  Then, operands first, each product crosses its factors'
-    keys up to there and keeps the keys up to top; a memo already filled
-    that far is read, not filled again.
-    """
-    monoid, ring = root.monoid, root.ring
-    cofactor_top, product = monoid.cofactor_top, monoid.product
-    if cofactor_top is None or root._build is _TABLE:
-        table = _table(root)
-        return table.get(monoid.lift_key(m, root._scale), ring.zero)
-    if root._top is not None and m <= root._top:  # filled that far already
-        return root._memo.get(m, ring.zero)
-    order = []  # the products not yet built, with their factors, operands first
-    for node in _post_order(root):
-        build = node._build
-        if build is not _TABLE:
-            _, f, g = build
-            if node._low is _UNKNOWN:
-                low_f, low_g = _least(f), _least(g)
-                node._low = None if low_f is None or low_g is None else product(low_f, low_g)
-            order.append((node, f, g))
-    tops = {root: m}  # product -> how far its memo must hold its table
-    for node, f, g in reversed(order):  # parents first, so each top is the largest
-        top = tops.get(node)
-        if top is None:
-            continue
-        if node._low is None or node._top is not None and top <= node._top:
-            del tops[node]  # no keys, or filled that far
-            continue
-        for h, other in ((f, g), (g, f)):
-            if h._build is not _TABLE:
-                need = cofactor_top(top, other._low)
-                if tops.get(h, need) <= need:
-                    tops[h] = need
-    add, mul = ring.add, ring.mul
-    for node, f, g in order:
-        top = tops.get(node)
-        if top is None:
-            continue
-        f_top, g_top = cofactor_top(top, g._low), cofactor_top(top, f._low)
-        gs = [(y, b) for y, b in g._memo.items() if y <= g_top]
-        out = {}
-        for x, a in f._memo.items():
-            if x <= f_top:
-                y_top = cofactor_top(top, x)  # x * y <= top
-                for y, b in gs:
-                    if y <= y_top:
-                        k = product(x, y)
-                        if k is not None:
-                            c = mul(a, b)
-                            out[k] = add(out[k], c) if k in out else c
-        node._memo.update(out)
-        node._top = top
-    return root._memo.get(m, ring.zero)
-
-
 def _least(series: GenSeries):
     """A finite series' least key, None if it has none: a built table's is
     worked out at the first call."""
     if series._low is _UNKNOWN:
         series._low = min(series._memo, default=None)
     return series._low
-
-
-def _complete(root: GenSeries):
-    """Build the whole tables of root, a finite product, and of the finite
-    products below it not yet built, in ``_post_order`` (operands first, a
-    shared one once): each is ``_convolve`` of its operands' tables, moved
-    onto one scale, as if built when multiplied.  A memo holds the whole
-    table before its build reads _TABLE, and a support is published only
-    after that, from the keys."""
-    order = _post_order(root)[::-1]
-    while order:  # popped, so a table below is freed once its parent is built
-        node = order.pop()
-        _, f, g = node._build
-        monoid = node.monoid
-        fs, gs, node._scale = monoid.join_tables(f._memo, f._scale, g._memo, g._scale)
-        node._memo = _convolve(monoid, node.ring, fs, gs)
-        node._build = _TABLE  # the operands are no longer needed
 
 
 def _evaluate(root: GenSeries, points, prefix=None) -> list:

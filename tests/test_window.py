@@ -5,6 +5,7 @@ a brute-force reference and independent formulas."""
 import math
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from math import comb
@@ -666,16 +667,22 @@ def assert_same_table(series, eager):
     assert all(series.ring.eq(table[m], eager[m]) for m in eager)
 
 
-# keys the factors draw from, and the points queried: below, among and
-# above a product's keys
+# keys the factors draw from, and the points queried in display order:
+# below, among and above a product's keys
 FILL_KEYS = {"nat": range(0, 9), "truncated": range(0, 8), "int": range(-6, 7),
-             "posnat-mul": range(1, 13)}
+             "posnat-mul": range(1, 13),
+             "rational-grid": sorted({Fraction(n, d) for d in (1, 2, 3) for n in range(-4, 5)}),
+             "free-words": free_words("xy").window(2)}
 FILL_POINTS = {"nat": range(0, 45), "truncated": range(0, 8), "int": range(-30, 31),
-               "posnat-mul": range(1, 150)}
+               "posnat-mul": range(1, 150),
+               "rational-grid": sorted({Fraction(n, d) for d in (1, 2, 3, 6)
+                                        for n in range(-12 * d, 12 * d + 1)}),
+               "free-words": free_words("xy").window(6)}
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS, ids=repr)
-@pytest.mark.parametrize("monoid", [nat(), truncated(7), integers(), posnat_mul()],
+@pytest.mark.parametrize("monoid", [nat(), truncated(7), integers(), posnat_mul(),
+                                    rational_grid(), free_words("xy")],
                          ids=lambda m: m.describe())
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -690,7 +697,7 @@ def test_finite_products_answer_interleaved_reads_as_eager_ones(monoid, ring, da
 
     factors = [factor() for _ in range(3)]  # drawn with repeats, so factors are shared
     picks = [factors[i] for i in data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=6))]
-    tables = [f._memo for f in picks]
+    tables = [table_of(f) for f in picks]
     # each: the series, its brute-force table and the table an eager build holds
     live = [(reduce(operator.mul, picks), brute_product(monoid, ring, tables),
              eager_product(monoid, ring, tables))]
@@ -700,9 +707,9 @@ def test_finite_products_answer_interleaved_reads_as_eager_ones(monoid, ring, da
         if step == "coeff":  # a point, then the points just below and just above it
             points = FILL_POINTS[name]
             m = data.draw(st.sampled_from(points))
-            for n in (m, m - 1, m + 1):
-                if n in points:
-                    assert ring.eq(series.coeff(n), want.get(n, zero))
+            i = points.index(m)
+            for n in (m, *points[max(i - 1, 0):i], *points[i + 1:i + 2]):
+                assert ring.eq(series.coeff(n), want.get(n, zero))
         elif step == "window":
             region = data.draw(st.integers(0, 12))
             got = series.window_coeffs(region)
@@ -712,7 +719,7 @@ def test_finite_products_answer_interleaved_reads_as_eager_ones(monoid, ring, da
             assert series.support == finite(want)
         else:  # series times or plus a factor, on either side
             f = factors[data.draw(st.integers(0, 2))]
-            pair = [(series, want, eager), (f, f._memo, f._memo)]
+            pair = [(series, want, eager), (f, table_of(f), table_of(f))]
             if data.draw(st.booleans()):
                 pair.reverse()
             (a, want_a, eager_a), (b, want_b, eager_b) = pair
@@ -744,6 +751,21 @@ def test_a_query_builds_a_finite_product_whole_without_cofactor_top(monoid, ring
         assert ring.eq(series.coeff(m), want.get(m, ring.zero))
     assert series._build == ("table",)  # the first query built it whole
     assert_same_table(series, eager)
+
+
+def test_a_whole_build_frees_each_table_once_its_parent_is_built():
+    R = IntRing()
+    series = reduce(operator.mul, [from_terms(nat(), R, [(0, 1), (k, 1)]) for k in range(1, 81)])
+    tracemalloc.start()
+    try:
+        support = series.support  # builds all 79 products whole
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert support == finite(range(80 * 81 // 2 + 1))
+    # about 0.7 MB with one table below alive at a time; keeping the 78
+    # tables below until the root is built takes about 8 MB
+    assert peak < 3 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
