@@ -22,9 +22,10 @@ is the zero morphism because the empty space is a zero object.
 
 Spaces and systems are immutable, so ``tensor``, ``internal_hom`` and the
 forced structure (``full_system``, which ``perp`` returns) are built once
-per argument per process.  Only values the library builds itself skip
-``PartialFn``'s checks; what a caller hands in (``PartialFn(...)``,
-``uncurry``, the JSON codecs) is checked.
+per argument per process.  What a caller hands in is checked, at the
+entry points ``PartialFn(...)``, ``uncurry`` and the JSON codecs.  Every
+construction builds its partial functions unchecked, from their value
+tuples on the domain carrier (``PartialFn._from_values``).
 
 A note on the total-function variant: if morphisms are required to be
 total, the category loses its terminal object once some finitary set is
@@ -181,12 +182,12 @@ class PartialFn:
 
 
 def identity(sp: FinSpace) -> PartialFn:
-    return PartialFn(sp, sp, {x: x for x in sp.carrier})
+    return PartialFn._from_values(sp, sp, sp.carrier)
 
 
 def empty_fn(dom: FinSpace, cod: FinSpace) -> PartialFn:
     """The zero morphism."""
-    return PartialFn(dom, cod, {})
+    return PartialFn._from_values(dom, cod, (None,) * len(dom))
 
 
 def compose(outer: PartialFn, inner: PartialFn) -> PartialFn:
@@ -245,24 +246,21 @@ def unit_space() -> FinSpace:
 
 
 def tensor_mor(f: PartialFn, g: PartialFn) -> PartialFn:
-    mapping = {}
-    for x in f.defined_on():
-        for y in g.defined_on():
-            mapping[(x, y)] = (f(x), g(y))
-    return PartialFn(tensor(f.dom, g.dom), tensor(f.cod, g.cod), mapping)
+    dom = tensor(f.dom, g.dom)
+    return PartialFn._from_values(dom, tensor(f.cod, g.cod), tuple(
+        None if f(x) is None or g(y) is None else (f(x), g(y)) for x, y in dom.carrier))
 
 
 def associator(a: FinSpace, b: FinSpace, c: FinSpace) -> PartialFn:
     """((x,y),z) -> (x,(y,z)); a total bijection on carriers."""
     dom = tensor(tensor(a, b), c)
-    cod = tensor(a, tensor(b, c))
-    return PartialFn(dom, cod, {((x, y), z): (x, (y, z))
-                                for x in a.carrier for y in b.carrier for z in c.carrier})
+    return PartialFn._from_values(dom, tensor(a, tensor(b, c)),
+                                  tuple((x, (y, z)) for (x, y), z in dom.carrier))
 
 
 def symmetry(a: FinSpace, b: FinSpace) -> PartialFn:
-    return PartialFn(tensor(a, b), tensor(b, a),
-                     {(x, y): (y, x) for x in a.carrier for y in b.carrier})
+    dom = tensor(a, b)
+    return PartialFn._from_values(dom, tensor(b, a), tuple((y, x) for x, y in dom.carrier))
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +282,8 @@ def equalizer(f: PartialFn, g: PartialFn) -> tuple[FinSpace, PartialFn]:
     Agreement at a point means both undefined, or both defined and equal.
     """
     _require_parallel(f, g)
-    members = [x for x in f.dom.carrier if f(x) == g(x)]
-    eq_space = space(members)
-    incl = PartialFn(eq_space, f.dom, {x: x for x in members})
-    return eq_space, incl
+    eq_space = space(x for x in f.dom.carrier if f(x) == g(x))
+    return eq_space, PartialFn._from_values(eq_space, f.dom, eq_space.carrier)
 
 
 def product(spaces: list[FinSpace]) -> tuple[FinSpace, list[PartialFn]]:
@@ -297,22 +293,17 @@ def product(spaces: list[FinSpace]) -> tuple[FinSpace, list[PartialFn]]:
     all_star = tuple(Star(i) for i in range(len(spaces)))
     tuples = [t for t in itertools.product(*primed) if t != all_star]
     prod = space(tuples)
-    projections = []
-    for i, sp in enumerate(spaces):
-        projections.append(PartialFn(
-            prod, sp, {t: t[i] for t in tuples if not isinstance(t[i], Star)}))
-    return prod, projections
+    return prod, [PartialFn._from_values(prod, sp, tuple(
+        None if isinstance(t[i], Star) else t[i] for t in prod.carrier))
+        for i, sp in enumerate(spaces)]
 
 
 def coproduct(spaces: list[FinSpace]) -> tuple[FinSpace, list[PartialFn]]:
     """Disjoint union with total injections."""
     labels = [(i, x) for i, sp in enumerate(spaces) for x in sp.carrier]
     cop = space(labels)
-    injections = [
-        PartialFn(sp, cop, {x: (i, x) for x in sp.carrier})
-        for i, sp in enumerate(spaces)
-    ]
-    return cop, injections
+    return cop, [PartialFn._from_values(sp, cop, tuple((i, x) for x in sp.carrier))
+                 for i, sp in enumerate(spaces)]
 
 
 def coequalizer(f: PartialFn, g: PartialFn) -> tuple[FinSpace, PartialFn]:
@@ -355,10 +346,8 @@ def coequalizer(f: PartialFn, g: PartialFn) -> tuple[FinSpace, PartialFn]:
     one_sided = {label_of[find(f(x))] for x in dom_f - dom_g}
     one_sided |= {label_of[find(g(x))] for x in dom_g - dom_f}
     q_space = space([lbl for lbl in label_of.values() if lbl not in one_sided])
-    qmap = PartialFn(f.cod, q_space,
-                     {y: label_of[find(y)] for y in carrier
-                      if label_of[find(y)] not in one_sided})
-    return q_space, qmap
+    return q_space, PartialFn._from_values(f.cod, q_space, tuple(
+        None if lbl in one_sided else lbl for lbl in (label_of[find(y)] for y in carrier)))
 
 
 def _require_parallel(f: PartialFn, g: PartialFn):
@@ -404,14 +393,8 @@ def hom_family_conditions(w, dom_system: SetSystem, cod_system: SetSystem) -> di
 
 def ev(x: FinSpace, y: FinSpace) -> PartialFn:
     """Evaluation hom(x,y) (x) tensor x -> y: (h, p) -> h(p) where defined."""
-    hom = internal_hom(x, y)
-    dom = tensor(hom, x)
-    mapping = {}
-    for lbl in hom.carrier:
-        graph = dict(lbl)
-        for p, q in graph.items():
-            mapping[(lbl, p)] = q
-    return PartialFn(dom, y, mapping)
+    dom = tensor(internal_hom(x, y), x)
+    return PartialFn._from_values(dom, y, tuple(dict(lbl).get(p) for lbl, p in dom.carrier))
 
 
 def curry(g: PartialFn, z: FinSpace, x: FinSpace, y: FinSpace) -> PartialFn:
@@ -514,6 +497,18 @@ def _pre_check(cod: FinSpace, arrows):
 _PROBES = (space(["z1"]),)
 
 
+def _unique_mediators(dom: FinSpace, cod: FinSpace, through, cones, report) -> list[str]:
+    """One ``_mediators`` call dom -> cod per (co)cone of cones, in order,
+    with the check through(cone); report(cone, count) words each count other
+    than one."""
+    problems = []
+    for cone in cones:
+        count = len(_mediators(dom, cod, through(cone)))
+        if count != 1:
+            problems.append(report(cone, count))
+    return problems
+
+
 def verify_equalizer(f: PartialFn, g: PartialFn, eq_space: FinSpace,
                      incl: PartialFn) -> list[str]:
     """Check the equalizing cone and, for every probe cone, the unique
@@ -523,13 +518,10 @@ def verify_equalizer(f: PartialFn, g: PartialFn, eq_space: FinSpace,
         problems.append("inclusion does not equalize the pair")
     through = _post_check(eq_space, [incl])
     for z in _PROBES:
-        for h in all_partial_fns(z, f.dom):
-            if any(f(h(x)) != g(h(x)) for x in z.carrier):
-                continue
-            hits = _mediators(z, eq_space, through([h]))
-            if len(hits) != 1:
-                problems.append(
-                    f"equalizer mediation failed for cone {h!r}: {len(hits)} mediators")
+        cones = ([h] for h in all_partial_fns(z, f.dom)
+                 if all(f(h(x)) == g(h(x)) for x in z.carrier))
+        problems += _unique_mediators(z, eq_space, through, cones, lambda cone, n: (
+            f"equalizer mediation failed for cone {cone[0]!r}: {n} mediators"))
     return problems
 
 
@@ -539,11 +531,9 @@ def verify_product(spaces: list[FinSpace], prod: FinSpace,
     problems = []
     through = _post_check(prod, projections)
     for z in _PROBES:
-        for cone in itertools.product(*[all_partial_fns(z, sp) for sp in spaces]):
-            hits = _mediators(z, prod, through(cone))
-            if len(hits) != 1:
-                problems.append(
-                    f"product mediation failed for a cone from {z!r}: {len(hits)} mediators")
+        cones = itertools.product(*[all_partial_fns(z, sp) for sp in spaces])
+        problems += _unique_mediators(z, prod, through, cones, lambda cone, n: (
+            f"product mediation failed for a cone from {z!r}: {n} mediators"))
     return problems
 
 
@@ -551,12 +541,9 @@ def verify_coproduct(spaces: list[FinSpace], cop: FinSpace,
                      injections: list[PartialFn]) -> list[str]:
     problems = []
     for z in _PROBES:
-        through = _pre_check(z, injections)
-        for cocone in itertools.product(*[all_partial_fns(sp, z) for sp in spaces]):
-            hits = _mediators(cop, z, through(cocone))
-            if len(hits) != 1:
-                problems.append(
-                    f"coproduct mediation failed for a cocone into {z!r}: {len(hits)} mediators")
+        cocones = itertools.product(*[all_partial_fns(sp, z) for sp in spaces])
+        problems += _unique_mediators(cop, z, _pre_check(z, injections), cocones, lambda c, n: (
+            f"coproduct mediation failed for a cocone into {z!r}: {n} mediators"))
     return problems
 
 
@@ -570,14 +557,10 @@ def verify_coequalizer(f: PartialFn, g: PartialFn, q_space: FinSpace,
         problems.append("quotient map does not coequalize the pair")
     pairs = {(f(x), g(x)) for x in f.dom.carrier}
     for z in _PROBES:
-        through = _pre_check(z, [qmap])
-        for h in all_partial_fns(f.cod, z):
-            if any(h(a) != h(b) for a, b in pairs):
-                continue
-            hits = _mediators(q_space, z, through([h]))
-            if len(hits) != 1:
-                problems.append(
-                    f"coequalizer mediation failed for cocone {h!r}: {len(hits)} mediators")
+        cocones = ([h] for h in all_partial_fns(f.cod, z)
+                   if all(h(a) == h(b) for a, b in pairs))
+        problems += _unique_mediators(q_space, z, _pre_check(z, [qmap]), cocones, lambda c, n: (
+            f"coequalizer mediation failed for cocone {c[0]!r}: {n} mediators"))
     return problems
 
 
@@ -629,14 +612,11 @@ def _random_parallel_pair(rng: random.Random, max_size: int):
     ny = rng.randint(0, max_size)
     x = space(letters[:nx])
     y = space(letters[:ny])
+    values = (None,) + y.carrier  # pick 0 is undefinedness
 
-    def rand_fn():
-        mapping = {}
-        for lbl in x.carrier:
-            pick = rng.randint(0, len(y.carrier))
-            if pick > 0:
-                mapping[lbl] = y.carrier[pick - 1]
-        return PartialFn(x, y, mapping)
+    def rand_fn():  # one pick per point of x, in order
+        return PartialFn._from_values(x, y, tuple(values[rng.randint(0, len(y))]
+                                                  for _ in x.carrier))
 
     return rand_fn(), rand_fn()
 

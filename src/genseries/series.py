@@ -43,14 +43,15 @@ function reads a finite series' table and builds finite products,
 ``_table``, in one iterative walk over the products below not yet built,
 operands first.  A query, ``coeff(m)`` or a window, asks for the table up to
 its last point: on the families with ``Monoid.cofactor_top`` a factor's keys
-matter only up to that bound of the other factor's least key, which each
-product works out once from its factors' (Ribenboim's finiteness condition,
-concretely), so the walk fills each product only that far.  Any other read
-(the support, a sum or negation, an infinite series it is a factor of, or a
-query on another family) builds each product whole with ``_convolve``,
-freeing each table below once its parent is built, so its keys, zero entries
-included, and their order are those of an eager product, and its support is
-exactly the table's keys.  All other coefficients come from one evaluator,
+matter only up to that bound of the other factor's least key, which every
+finite series holds from when it is made, a product's the product of its
+factors' (Ribenboim's finiteness condition, concretely), so the walk fills
+each product only that far.  Any other read (the support, a sum or
+negation, an infinite series it is a factor of, or a query on another
+family) builds each product whole with ``_convolve``, freeing each table
+below once its parent is built, so its keys, zero entries included, and
+their order are those of an eager product, and its support is exactly the
+table's keys.  All other coefficients come from one evaluator,
 ``_evaluate``, behind ``coeff``, ``window_coeffs`` (and so ``terms_on``,
 ``outputs_on`` and ``render``), ``agree_on`` and ``is_zero_on``.  It walks
 the build record once, iteratively, so chain depth costs no stack, and it
@@ -116,7 +117,6 @@ from .rings import Ring
 # ("mul", f, g) with an infinite factor, or ("finite-mul", f, g) of two finite
 # ones whose whole table _table has not built yet (then it becomes _TABLE)
 _TABLE = ("table",)
-_UNKNOWN = object()  # a least key not worked out yet
 
 
 class GenSeries:
@@ -135,9 +135,11 @@ class GenSeries:
         self._memo = {} if memo is None else memo
         self._build = build
         self._scale = scale
-        # a finite series' least key (None: it has none), worked out when a
-        # query needs it on a family with cofactor_top
-        self._low = _UNKNOWN
+        # on a family with cofactor_top, a finite series' least key (None: it
+        # has none); mul sets a finite product's from its factors'
+        self._low = None
+        if memo and build is _TABLE and monoid.cofactor_top is not None:
+            self._low = min(memo)
         self._top = None
         # a kernel product's lifted values over 0..top, as (top, list)
         self._lifted = None
@@ -207,8 +209,12 @@ class GenSeries:
         monoid, ring = self.monoid, self.ring
         if _is_finite(self) and _is_finite(other):
             # no table yet: a query fills it as far as it needs, and the
-            # first read of the whole builds it (_table)
-            return GenSeries(monoid, ring, None, ("finite-mul", self, other))
+            # first read of the whole builds it (_table); its least key is the
+            # product of its factors' (None where that is undefined)
+            product = GenSeries(monoid, ring, None, ("finite-mul", self, other))
+            if self._low is not None and other._low is not None:
+                product._low = monoid.product(self._low, other._low)
+            return product
         # reading a finite factor's support builds its table, which the fibers
         # read; the bound is finite only when it is empty, and then so is the
         # product's table
@@ -298,14 +304,13 @@ def _table(root: GenSeries, top=None) -> dict:
     on a family with ``Monoid.cofactor_top``, at least up to top.
 
     The one builder of finite products: it walks root and the products below
-    it not yet built in ``_post_order``.  With a top, each product's least
-    key is worked out once, operands first: the product of its factors'
-    least keys.  Then, parents first, each product passes on how far its
-    factors are needed: a key of f * g up to top has its f-factor up to
-    ``cofactor_top(top, low)`` for g's least key low, and alike for g.
-    Then, operands first, each product crosses its factors' keys up to there
-    and keeps the keys up to top in its memo; a memo filled that far already
-    is read, not filled again.  Otherwise, operands first, each product's
+    it not yet built in ``_post_order``.  With a top, parents first, each
+    product passes on how far its factors are needed: a key of f * g up to
+    top has its f-factor up to ``cofactor_top(top, low)`` for g's least key
+    low (set when g was made), and alike for g.  Then, operands first, each
+    product crosses its factors' keys up to there and keeps the keys up to
+    top in its memo; a memo filled that far already is read, not filled
+    again.  Otherwise, operands first, each product's
     whole table is ``_convolve`` of its factors' tables moved onto one
     scale, as if built when multiplied; its memo holds it before its build
     reads _TABLE, and each node is popped, so a table below is freed once
@@ -318,11 +323,6 @@ def _table(root: GenSeries, top=None) -> dict:
     order = _post_order(root)
     tops = None  # product -> how far its memo must hold its table; None: whole
     if top is not None and cofactor_top is not None:
-        for node in order:
-            if node._low is _UNKNOWN:
-                _, f, g = node._build
-                low_f, low_g = _least(f), _least(g)
-                node._low = None if low_f is None or low_g is None else product(low_f, low_g)
         tops = {root: top}
         for node in reversed(order):  # parents first, so each top is the largest
             top = tops.get(node)
@@ -422,14 +422,6 @@ def _post_order(root: GenSeries) -> list:
             if build[0] != "leaf":
                 stack += [(f, False) for f in build[1:] if f._build is not _TABLE]
     return order
-
-
-def _least(series: GenSeries):
-    """A finite series' least key, None if it has none: a built table's is
-    worked out at the first call."""
-    if series._low is _UNKNOWN:
-        series._low = min(series._memo, default=None)
-    return series._low
 
 
 def _evaluate(root: GenSeries, points, prefix=None) -> list:

@@ -61,6 +61,14 @@ def test_series_eval_from_input_file(capsys, tmp_path):
     assert code == 0 and out.strip() == "1 + 5·T^2"
 
 
+def test_series_eval_refuses_terms_that_are_not_a_list(capsys, tmp_path):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps({"monoid": "nat", "ring": "int",
+                                "terms": {"0": "1"}, "window": 4}))
+    assert run_cli(capsys, "series-eval", "--input", str(path)) == (
+        1, "", 'error: "terms" must be a list of [element, coefficient] pairs\n')
+
+
 @pytest.mark.parametrize("monoid,expr", [
     ("nat", "1 + T"), ("nat", "geometric"), ("nat-discrete", "T"), ("int", "T^(-1)"),
     ("int-discrete", "1"), ("posnat-mul", "zeta * T^2"), ("posnat-div", "T^3"),

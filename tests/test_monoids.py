@@ -10,7 +10,7 @@ from genseries import (ALL, CarrierError, DescriptorError, GridTail, IntRing, Ta
                        integers, integers_discrete, nat, nat_discrete,
                        posnat_div, posnat_mul, rational_grid, truncated, zeta)
 from genseries import monoids
-from genseries.catalog import carrier_from_spec
+from genseries.catalog import carrier_from_spec, descriptor_from_json, descriptor_to_json
 from genseries.rings import ring_from_spec
 
 import oracles
@@ -335,6 +335,27 @@ def test_admission_per_carrier_table():
     assert not nat().admits(TailGE(0))
     for monoid in catalog_monoids():
         assert monoid.admits(finite())
+
+
+def test_every_admitted_descriptor_round_trips_through_json():
+    """descriptor_to_json is read back by descriptor_from_json on every
+    catalog carrier, for every descriptor kind the carrier admits: finite
+    sets (fractions and words among them), all, tailge and gridtail."""
+    kinds = set()
+    for monoid in catalog_monoids():
+        carrier, pool = monoid.carrier, element_pool(monoid)
+        shapes = [finite(), finite(pool[:1]), finite(pool), ALL,
+                  TailGE(-3), TailGE(2), GridTail(-3, 2), GridTail(1, 3)]
+        for desc in filter(monoid.admits, shapes):
+            blob = descriptor_to_json(carrier, desc)
+            assert descriptor_from_json(carrier, blob) == desc, (carrier, desc, blob)
+            kinds.add(next(iter(blob)))
+    assert kinds == {"finite", "all", "tailge", "gridtail"}
+    grid, words = rational_grid(), free_words("xy")
+    assert descriptor_to_json(grid.carrier, finite([Fraction(-1, 2), 3])) == {
+        "finite": ["-1/2", "3"]}
+    assert descriptor_from_json(words.carrier, descriptor_to_json(
+        words.carrier, finite(words.window(2)))) == finite(words.window(2))
 
 
 def test_finite_descriptor_elements_are_validated():

@@ -106,6 +106,11 @@ def test_ring_specs():
         ring_from_spec("boolean")
 
 
+def test_bare_json_integers_are_ring_elements():
+    assert IntRing().element_from_json(7) == 7
+    assert ModRing(6).element_from_json(8) == 2
+
+
 def test_mod_ring_rejects_foreign_modulus():
     with pytest.raises(InputError):
         ModRing(6).element_from_json({"mod": 5, "val": 1})

@@ -147,6 +147,15 @@ def test_moebius_errors_beyond_declared_bound():
         mu.coeff(11)
 
 
+def test_moebius_refuses_past_its_bound_on_both_paths():
+    """A window past the bound reads the builtin's integer column (its
+    prefix), a single query its point function; both refuse alike."""
+    with pytest.raises(SizeBoundError, match="^moebius precomputed up to 10, asked for 11$"):
+        moebius(R, 10).window_coeffs(20)
+    with pytest.raises(SizeBoundError, match="^moebius precomputed up to 10, asked for 15$"):
+        moebius(R, 10).coeff(15)
+
+
 def test_puiseux_product_lands_on_refined_grid():
     rg = rational_grid()
     ring = IntRing()

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import genseries
 from genseries import (All, FinitePomonoid, FinitePoset, FiniteSet, FreeWords,
                        GridTail, IntDiscrete, IntRing, IntUsual, Mat2Ring,
                        ModRing, NatDiscrete, NatUsual, OrderClassification,
@@ -189,3 +190,12 @@ def test_a_cli_start_imports_neither_dataclasses_nor_the_selftest():
     out = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out == "[]\n"
+
+
+def test_every_public_name_resolves_on_the_package_once():
+    """The package's public names, as a lazy import of them would have to
+    keep them: each listed once and each an attribute of the package."""
+    names = genseries.__all__
+    assert len(set(names)) == len(names)
+    missing = [name for name in names if not hasattr(genseries, name)]
+    assert missing == []
